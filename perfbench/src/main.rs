@@ -94,7 +94,7 @@ fn main() -> ExitCode {
         Ok(a) => a,
         Err(e) => {
             eprintln!("perfbench: {e}");
-            eprintln!("usage: perfbench --workload bulk-build|bulk-mis|explore|serve-mix --seed N --seconds S --trace 0|1");
+            eprintln!("usage: perfbench --workload bulk-build|explore|serve-mix --seed N --seconds S --trace 0|1");
             return ExitCode::from(2);
         }
     };

@@ -107,7 +107,7 @@ impl Refs {
     /// Units of work one pass does: bulk rounds, explored states, or jobs.
     fn work(&self, w: Workload) -> f64 {
         let field = match w {
-            Workload::BulkBuild | Workload::BulkMis => "rounds",
+            Workload::BulkBuild => "rounds",
             Workload::Explore => "distinct_states",
             Workload::ServeMix => return self.jobs.len() as f64,
         };

@@ -1,4 +1,4 @@
-//! The four workloads: fixed job lists, made from the workload seed.
+//! The workloads: fixed job lists, made from the workload seed.
 
 use wb_serve::{JobKind, JobSpec};
 
@@ -7,8 +7,6 @@ use wb_serve::{JobKind, JobSpec};
 pub enum Workload {
     /// One native-SIMASYNC BUILD(2) bulk job at n = 10⁵.
     BulkBuild,
-    /// One MIS(1) bulk job at n = 10⁵ under a SYNC target.
-    BulkMis,
     /// Four exhaustive explorations, sequential and parallel.
     Explore,
     /// A mix of small jobs through the daemon's socket.
@@ -17,12 +15,7 @@ pub enum Workload {
 
 impl Workload {
     /// Every workload, in documentation order.
-    pub const ALL: [Workload; 4] = [
-        Workload::BulkBuild,
-        Workload::BulkMis,
-        Workload::Explore,
-        Workload::ServeMix,
-    ];
+    pub const ALL: [Workload; 3] = [Workload::BulkBuild, Workload::Explore, Workload::ServeMix];
 
     /// Parse a workload name.
     pub fn parse(name: &str) -> Result<Workload, String> {
@@ -39,7 +32,6 @@ impl Workload {
     pub fn name(self) -> &'static str {
         match self {
             Workload::BulkBuild => "bulk-build",
-            Workload::BulkMis => "bulk-mis",
             Workload::Explore => "explore",
             Workload::ServeMix => "serve-mix",
         }
@@ -51,7 +43,6 @@ impl Workload {
         let mut rng = SplitMix(seed);
         let mut jobs = match self {
             Workload::BulkBuild => vec![bulk("build:2", "kdeg-lin:2", 100_000, "native")],
-            Workload::BulkMis => vec![bulk("mis:1", "gnp-lin:4", 50_000, "sync")],
             Workload::Explore => {
                 let seq = explore("build:1", "path", 18);
                 let par = JobSpec {
@@ -81,6 +72,9 @@ impl Workload {
                     explore("build:1", "path", 13),
                     bulk("build:2", "kdeg-lin:2", 10_000, "native"),
                     bulk("edge-count", "gnp-lin:4", 10_000, "native"),
+                    // The event-driven scheduler, incremental observe and
+                    // the O(|set|²) MIS oracle on the bulk tier.
+                    bulk("mis:1", "gnp-lin:4", 10_000, "sync"),
                 ];
                 // Several instances of each job (each gets its own seed
                 // below), so one pass covers several n = 50 campaign graphs
