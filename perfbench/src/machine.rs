@@ -63,13 +63,6 @@ fn git_commit(git: &Path) -> Option<String> {
     })
 }
 
-/// Reset the peak resident set size of process `pid` to its current one
-/// (writes `5` to `/proc/<pid>/clear_refs`), so the next [`peak_rss_mb`]
-/// covers only what ran since. False where the kernel refuses.
-pub fn reset_peak_rss(pid: &str) -> bool {
-    std::fs::write(format!("/proc/{pid}/clear_refs"), "5").is_ok()
-}
-
 /// Peak resident set size of process `pid` (`"self"` for this one) in MB,
 /// from the `VmHWM` line of `/proc/<pid>/status`.
 pub fn peak_rss_mb(pid: &str) -> Option<f64> {

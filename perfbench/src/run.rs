@@ -7,17 +7,15 @@ use std::time::Instant;
 use crate::layers;
 use crate::machine;
 use crate::replay::{self, JobTrace};
-use crate::serve::{self, DaemonProc, Expected, LoopPass};
+use crate::serve::{self, Conn, DaemonProc, Expected, LoopPass};
 use crate::stats;
 use crate::workloads::{self, Workload};
 use wb_math::json::Json;
 use wb_serve::{run_job, JobReport, JobSpec};
 
-/// Untimed warm-up passes whose median is `setup_s` in-process.
+/// Set-ups whose median is `setup_s`: untimed warm-up passes in-process,
+/// and on `serve-mix` daemon start-ups, each with its warm-up pass.
 pub const SETUPS: usize = 3;
-/// Daemon start-ups whose median is `setup_s` on `serve-mix`; one start-up
-/// takes a few milliseconds, so one alone is mostly scheduling jitter.
-pub const DAEMON_SETUPS: usize = 9;
 
 /// One metric as printed.
 #[derive(Clone, Debug)]
@@ -123,12 +121,9 @@ impl Refs {
 struct Pass {
     wall_s: f64,
     job_s: Vec<f64>,
-    /// Peak resident memory during this pass, MB.
-    peak_mb: Option<f64>,
 }
 
 fn pass(refs: &Refs, out: &mut Outcome) -> Pass {
-    let reset = machine::reset_peak_rss("self");
     let start = Instant::now();
     let mut job_s = Vec::with_capacity(refs.jobs.len());
     for (spec, want) in refs.jobs.iter().zip(&refs.lines) {
@@ -154,7 +149,6 @@ fn pass(refs: &Refs, out: &mut Outcome) -> Pass {
     Pass {
         wall_s: start.elapsed().as_secs_f64(),
         job_s,
-        peak_mb: machine::peak_rss_mb("self").filter(|_| reset),
     }
 }
 
@@ -185,9 +179,22 @@ fn timing(out: &mut Outcome, prefix: &str, unit_samples: &[f64], what: &str) {
         tail.value,
         "s",
         format!(
-            "p{:.1} of {} {what} (highest percentile with >= 10 beyond; the maximum below 100 samples)",
-            tail.percentile, tail.samples
+            "p{:.1} of {} {what} (highest percentile with >= 10 beyond; the maximum below {} samples)",
+            tail.percentile,
+            tail.samples,
+            stats::TAIL_MIN_SAMPLES
         ),
+    );
+}
+
+/// `jobs_per_s` from the median pass, not the total time: one slow pass
+/// moves a mean over a run, and the median it leaves alone.
+fn jobs_per_s(out: &mut Outcome, jobs_per_pass: usize, pass_p50_s: f64) {
+    out.push(
+        "jobs_per_s",
+        jobs_per_pass as f64 / pass_p50_s,
+        "1/s",
+        format!("{jobs_per_pass} jobs per pass / pass_p50_s"),
     );
 }
 
@@ -206,11 +213,8 @@ pub fn untraced(w: Workload, seed: u64, seconds: f64) -> Result<Outcome, String>
         warmups.push(pass(&refs, &mut out).wall_s);
     }
     let passes = repeat(seconds, || pass(&refs, &mut out));
-    let timed_s: f64 = passes.iter().map(|p| p.wall_s).sum();
     let wall: Vec<f64> = passes.iter().map(|p| p.wall_s).collect();
-    let jobs = passes.len() * refs.jobs.len();
     let p50 = stats::median(&wall);
-    let peaks: Option<Vec<f64>> = passes.iter().map(|p| p.peak_mb).collect();
     out.push(
         "setup_s",
         stats::median(&warmups),
@@ -227,12 +231,7 @@ pub fn untraced(w: Workload, seed: u64, seconds: f64) -> Result<Outcome, String>
             _ => "rounds_per_s: bulk rounds per pass / pass_p50_s",
         },
     );
-    out.push(
-        "jobs_per_s",
-        jobs as f64 / timed_s,
-        "1/s",
-        format!("{jobs} jobs in {timed_s:.3} s"),
-    );
+    jobs_per_s(&mut out, refs.jobs.len(), p50);
     // One synchronous client whose request is the pass.
     timing(
         &mut out,
@@ -240,8 +239,15 @@ pub fn untraced(w: Workload, seed: u64, seconds: f64) -> Result<Outcome, String>
         &wall,
         "passes (the in-process client's requests)",
     );
-    let (rss, note) = peak_rss(peaks, "self", "the benchmark process");
-    out.push("peak_rss_mb", rss, "MB", note);
+    // The whole run's peak: one pass's peak hangs on how much freed memory
+    // the allocator kept from the passes before, which the parallel
+    // explorer's thread timing changes from pass to pass.
+    out.push(
+        "peak_rss_mb",
+        machine::peak_rss_mb("self").ok_or("cannot read VmHWM")?,
+        "MB",
+        "VmHWM of the benchmark process over the whole run",
+    );
     Ok(out)
 }
 
@@ -253,78 +259,80 @@ fn socket_path() -> Result<PathBuf, String> {
     Ok(dir.join(format!("serve-{}.sock", std::process::id())))
 }
 
-fn expected(refs: &Refs) -> Vec<Expected> {
-    refs.jobs
-        .iter()
-        .zip(&refs.reports)
-        .map(|(spec, report)| Expected::new(spec, report))
-        .collect()
+/// A running daemon with the client connections that drive it.
+struct Served {
+    daemon: DaemonProc,
+    conns: Vec<Conn>,
+    want: Vec<Expected>,
+    passes: u64,
 }
 
-/// Start the daemon [`DAEMON_SETUPS`] times (all but the last are shut down again)
-/// and return the last one with the spawn → `hello` times.
-fn start_daemon() -> Result<(DaemonProc, Vec<f64>), String> {
-    let socket = socket_path()?;
-    let mut setups = Vec::new();
-    loop {
-        let (daemon, s) = DaemonProc::spawn(&socket)?;
-        setups.push(s);
-        if setups.len() == DAEMON_SETUPS {
-            return Ok((daemon, setups));
-        }
-        daemon.shutdown()?;
+impl Served {
+    /// Spawn the daemon, wait for its `hello` and connect the clients.
+    fn start(refs: &Refs) -> Result<Served, String> {
+        let (daemon, _) = DaemonProc::spawn(&socket_path()?)?;
+        let conns = (0..serve::CONNECTIONS)
+            .map(|_| daemon.connect())
+            .collect::<Result<Vec<_>, _>>()?;
+        let want = refs
+            .jobs
+            .iter()
+            .zip(&refs.reports)
+            .map(|(spec, report)| Expected::new(spec, report))
+            .collect();
+        Ok(Served {
+            daemon,
+            conns,
+            want,
+            passes: 0,
+        })
     }
-}
 
-/// Drive the closed loop for `seconds`, after one untimed pass.
-fn serve_loop(
-    daemon: &DaemonProc,
-    refs: &Refs,
-    seed: u64,
-    seconds: f64,
-    out: &mut Outcome,
-) -> Result<Vec<LoopPass>, String> {
-    let mut conns = (0..serve::CONNECTIONS)
-        .map(|_| daemon.connect())
-        .collect::<Result<Vec<_>, _>>()?;
-    let want = expected(refs);
-    let pid = daemon.pid();
-    let mut passes = Vec::new();
-    let mut pass_no = 0;
-    let mut one = || {
-        let order = workloads::pass_order(seed, pass_no, refs.jobs.len());
-        pass_no += 1;
-        let reset = machine::reset_peak_rss(&pid);
-        let mut p = serve::run_pass(&mut conns, &refs.jobs, &want, &order);
-        p.peak_mb = machine::peak_rss_mb(&pid).filter(|_| reset);
-        p
-    };
-    let warm = one();
-    for p in std::iter::once(warm).chain(repeat(seconds, one)) {
+    /// One closed-loop pass in a fresh seeded order, counted into `out`.
+    /// Its `peak_mb` is the daemon's peak so far: the daemon keeps every
+    /// finished job, so only a daemon's first pass gives a peak that does
+    /// not grow with the jobs before it.
+    fn pass(&mut self, refs: &Refs, seed: u64, out: &mut Outcome) -> LoopPass {
+        let order = workloads::pass_order(seed, self.passes, refs.jobs.len());
+        self.passes += 1;
+        let mut p = serve::run_pass(&mut self.conns, &refs.jobs, &self.want, &order);
+        p.peak_mb = machine::peak_rss_mb(&self.daemon.pid());
         out.attempted += p.attempted;
         out.failed += p.failed;
         for e in &p.errors {
             out.problem(e.clone());
         }
-        passes.push(p);
+        p
     }
-    passes.remove(0);
-    Ok(passes)
+
+    /// Close the clients, then drain and reap the daemon.
+    fn shutdown(self) -> Result<(), String> {
+        drop(self.conns);
+        self.daemon.shutdown()
+    }
 }
 
-/// `peak_rss_mb` and its note: the median of per-pass peaks where the
-/// kernel let the peak be reset before each pass, else the peak of the
-/// whole process `pid`.
-fn peak_rss(per_pass: Option<Vec<f64>>, pid: &str, whose: &str) -> (f64, String) {
-    match per_pass {
-        Some(peaks) => (
-            stats::median(&peaks),
-            format!("median over {} passes of the VmHWM of {whose}", peaks.len()),
-        ),
-        None => (
-            machine::peak_rss_mb(pid).unwrap_or(0.0),
-            format!("VmHWM of {whose}"),
-        ),
+/// Set the daemon up [`SETUPS`] times: spawn it, wait for its `hello`, and
+/// drive one untimed pass. All but the last daemon are shut down again.
+/// Returns the last one with the set-up times and each daemon's peak memory
+/// after its first pass.
+fn start_served(
+    refs: &Refs,
+    seed: u64,
+    out: &mut Outcome,
+) -> Result<(Served, Vec<f64>, Vec<f64>), String> {
+    let mut setups = Vec::new();
+    let mut peaks = Vec::new();
+    loop {
+        let start = Instant::now();
+        let mut served = Served::start(refs)?;
+        let warm = served.pass(refs, seed, out);
+        setups.push(start.elapsed().as_secs_f64());
+        peaks.push(warm.peak_mb.ok_or("cannot read the daemon's VmHWM")?);
+        if setups.len() == SETUPS {
+            return Ok((served, setups, peaks));
+        }
+        served.shutdown()?;
     }
 }
 
@@ -335,20 +343,17 @@ fn untraced_serve(
     mut out: Outcome,
 ) -> Result<Outcome, String> {
     let refs = Refs::build(jobs, &mut out)?;
-    let (daemon, setups) = start_daemon()?;
-    let passes = serve_loop(&daemon, &refs, seed, seconds, &mut out)?;
-    let peaks: Option<Vec<f64>> = passes.iter().map(|p| p.peak_mb).collect();
-    let (rss, rss_note) = peak_rss(peaks, &daemon.pid(), "the daemon process");
-    daemon.shutdown()?;
+    let (mut served, setups, peaks) = start_served(&refs, seed, &mut out)?;
+    let passes = repeat(seconds, || served.pass(&refs, seed, &mut out));
+    served.shutdown()?;
     let wall: Vec<f64> = passes.iter().map(|p| p.wall_s).collect();
-    let timed_s: f64 = wall.iter().sum();
     let latency: Vec<f64> = passes.iter().flat_map(|p| p.latency_s.clone()).collect();
     let p50 = stats::median(&wall);
     out.push(
         "setup_s",
         stats::median(&setups),
         "s",
-        format!("median of {DAEMON_SETUPS} daemon spawns to the first hello reply"),
+        format!("median of {SETUPS} daemon set-ups: spawn, hello and one untimed pass"),
     );
     timing(&mut out, "pass", &wall, "passes");
     out.push(
@@ -357,19 +362,19 @@ fn untraced_serve(
         "1/s",
         "jobs per pass / pass_p50_s",
     );
-    out.push(
-        "jobs_per_s",
-        latency.len() as f64 / timed_s,
-        "1/s",
-        format!("{} jobs in {timed_s:.3} s", latency.len()),
-    );
+    jobs_per_s(&mut out, refs.jobs.len(), p50);
     timing(
         &mut out,
         "latency",
         &latency,
         "jobs (submit sent to terminal event)",
     );
-    out.push("peak_rss_mb", rss, "MB", rss_note);
+    out.push(
+        "peak_rss_mb",
+        stats::median(&peaks),
+        "MB",
+        format!("median over {SETUPS} daemons of the VmHWM after their first pass"),
+    );
     Ok(out)
 }
 
@@ -409,9 +414,10 @@ pub fn traced(w: Workload, seed: u64, seconds: f64) -> Result<Outcome, String> {
     let parsed: Vec<Json> = refs.reports.iter().map(|r| r.json.clone()).collect();
     let mut serve_passes = Vec::new();
     let in_process = if w == Workload::ServeMix {
-        let (daemon, _) = DaemonProc::spawn(&socket_path()?)?;
-        serve_passes = serve_loop(&daemon, &refs, seed, seconds / 2.0, &mut out)?;
-        daemon.shutdown()?;
+        let mut served = Served::start(&refs)?;
+        served.pass(&refs, seed, &mut out);
+        serve_passes = repeat(seconds / 2.0, || served.pass(&refs, seed, &mut out));
+        served.shutdown()?;
         seconds / 2.0
     } else {
         seconds

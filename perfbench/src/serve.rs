@@ -19,13 +19,15 @@ use wb_math::json::Json;
 use wb_serve::jobs::JobReport;
 use wb_serve::{wire, Daemon, JobKind, JobSpec, ServeConfig};
 
-/// Daemon worker threads; with `WB_THREADS=1` per job, workers × job
-/// threads equals the two cores the workloads are sized for.
-pub const WORKERS: usize = 2;
+/// Daemon worker threads. One worker with `WB_THREADS=1` keeps the jobs on
+/// one core and leaves the other to the clients and the daemon's
+/// connection threads. Two workers made each pass wait on the slower of
+/// two busy cores, and their peak memory varied with the interleaving.
+pub const WORKERS: usize = 1;
 /// Client connections.
 pub const CONNECTIONS: usize = 2;
 /// Jobs each connection keeps in flight, so more jobs are in flight than
-/// there are workers and some wait in the queue.
+/// there are workers and most wait in the queue.
 pub const WINDOW: usize = 2;
 
 /// Entry point of the `--daemon SOCKET` child process.
@@ -241,7 +243,8 @@ pub struct LoopPass {
     pub queue_full: u64,
     /// The first few failure descriptions.
     pub errors: Vec<String>,
-    /// The daemon's peak resident memory during the pass, MB.
+    /// The daemon's peak resident memory since it started, read after the
+    /// pass, MB.
     pub peak_mb: Option<f64>,
 }
 

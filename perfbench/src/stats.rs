@@ -11,8 +11,9 @@ pub fn median(xs: &[f64]) -> f64 {
     }
 }
 
-/// Fewest samples for which [`tail`] uses the ten-beyond rank.
-pub const TAIL_MIN_SAMPLES: usize = 100;
+/// Fewest samples for which [`tail`] uses the ten-beyond rank: from 22 on,
+/// that rank lies above the median.
+pub const TAIL_MIN_SAMPLES: usize = 22;
 
 /// A tail statistic: the value, the percentile it sits at and the sample
 /// count it was taken from.
@@ -28,9 +29,10 @@ pub struct Tail {
 
 /// The highest percentile with at least ten samples beyond it: the sample
 /// at rank `n − 11` of the sorted list, which has exactly ten larger ranks
-/// after it. Below [`TAIL_MIN_SAMPLES`] samples that rank would sit under
-/// p90 — at or below the median for twenty or fewer — so the tail is the
-/// maximum instead (percentile 100).
+/// after it. Below [`TAIL_MIN_SAMPLES`] samples that rank would sit at or
+/// below the median, so the tail is the maximum instead (percentile 100).
+/// The maximum of a run's passes is whichever pass a host stall hit, so a
+/// tail with ten samples beyond it is preferred wherever there is one.
 pub fn tail(xs: &[f64]) -> Tail {
     let s = sorted(xs);
     let n = s.len();

@@ -113,7 +113,7 @@ fn shuffle<T>(items: &mut [T], rng: &mut SplitMix) {
 }
 
 /// Instances of each `serve-mix` job in one pass.
-pub const SERVE_VARIANTS: usize = 4;
+pub const SERVE_VARIANTS: usize = 2;
 
 fn bulk(protocol: &str, workload: &str, n: usize, model: &str) -> JobSpec {
     JobSpec {

@@ -27,6 +27,12 @@ fn tail_keeps_ten_samples_beyond_it() {
     let t = tail(&xs);
     assert_eq!(t.value, 990.0);
     assert!(close(t.percentile, 99.0));
+
+    // 40 samples: the sample with ten beyond it is p75.
+    let xs: Vec<f64> = (1..=40).map(f64::from).collect();
+    let t = tail(&xs);
+    assert_eq!(t.value, 30.0);
+    assert!(close(t.percentile, 75.0));
 }
 
 #[test]
@@ -35,10 +41,12 @@ fn tail_of_few_samples_is_the_maximum() {
     assert_eq!(t.value, 0.9);
     assert_eq!(t.percentile, 100.0);
     assert_eq!(t.samples, 3);
-    // With 99 samples the ten-beyond rank would be p89.9: the maximum
-    // stands in until the rank reaches p90.
-    let xs: Vec<f64> = (1..=99).map(f64::from).collect();
-    assert_eq!(tail(&xs).value, 99.0);
+    // With 21 samples the ten-beyond rank is the median: the maximum
+    // stands in. With 22 it is the first rank above the median.
+    let xs: Vec<f64> = (1..=21).map(f64::from).collect();
+    assert_eq!(tail(&xs).value, 21.0);
+    let xs: Vec<f64> = (1..=22).map(f64::from).collect();
+    assert_eq!(tail(&xs).value, 12.0);
     assert_eq!(tail(&[]).samples, 0);
 }
 
