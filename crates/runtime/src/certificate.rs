@@ -676,4 +676,29 @@ mod tests {
         // Crash edges serialize as 4-element arrays ending in 1.
         assert!(line.contains(",1]"), "{line}");
     }
+
+    #[test]
+    fn witnesses_come_in_depth_first_order() {
+        use crate::fault::FaultPlan;
+        // Chain activates 1, 2, 3 in turn; a crash stalls everyone after
+        // the casualty, so terminals end at different depths.
+        let g = generators::path(3);
+        let config = ExploreConfig::default().with_faults(Some(FaultPlan::crash_stop(1)));
+        let certified = certify(&Chain, &g, &scenario(), &config, |_, _| false).unwrap();
+        let witnesses: Vec<(Vec<NodeId>, Vec<NodeId>)> = certified
+            .certificate
+            .witnesses
+            .iter()
+            .map(|w| (w.schedule.clone(), w.died.clone()))
+            .collect();
+        assert_eq!(
+            witnesses,
+            vec![
+                (vec![1, 2, 3], vec![]),
+                (vec![1, 2, 3], vec![3]),
+                (vec![1, 2], vec![2]),
+                (vec![1], vec![1]),
+            ]
+        );
+    }
 }
