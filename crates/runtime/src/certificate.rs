@@ -33,6 +33,13 @@
 //! fault-free certificate (no plan, or an inert `crash:0`/`lossy:0` plan)
 //! serializes byte-identically to the pre-fault format.
 //!
+//! [`certify`] produces the certificate with the sequential explorer
+//! itself — unreduced, without a frontier cap — deduplicating through a
+//! seen-set that logs every probed transition as an edge and every new
+//! terminal's hash. Witness traces come from replaying each failure's
+//! schedule, and witnesses are sorted into depth-first order (the
+//! breadth-first walk meets failures shortest-first).
+//!
 //! ## Soundness boundary
 //!
 //! Certification inherits the explorer's dedup soundness rule: configuration
@@ -43,9 +50,13 @@
 //! to certify.
 
 use crate::engine::{Engine, Outcome};
-use crate::exhaustive::{DedupPolicy, ExplorationReport, ExploreConfig, ScheduleFailure};
+use crate::exhaustive::{
+    explore_sequential, probe_from_insert, DedupPolicy, ExplorationReport, ExploreConfig, Probe,
+    Reduction, ReductionPolicy, ScheduleFailure, SeenProbe,
+};
 use crate::model::Model;
 use crate::protocol::Protocol;
+use std::cell::RefCell;
 use std::collections::HashSet;
 use std::fmt::Debug;
 use wb_graph::{Graph, NodeId};
@@ -137,7 +148,8 @@ pub struct ExplorationCertificate {
     pub edges: Vec<CertificateEdge>,
     /// All terminal configurations, sorted by hash.
     pub terminals: Vec<CertificateTerminal>,
-    /// One witness per failing terminal, in discovery order.
+    /// One witness per failing terminal, in depth-first order: sorted by
+    /// schedule, pick by pick, a pick's write before its crash.
     pub witnesses: Vec<CertificateWitness>,
     /// Number of distinct configurations (must equal `1 +` the number of
     /// distinct edge targets; re-counted by the verifier).
@@ -270,9 +282,10 @@ impl ExplorationCertificate {
 pub struct CertifiedExploration<O> {
     /// The serialized-form proof.
     pub certificate: ExplorationCertificate,
-    /// Report equivalent to what [`crate::exhaustive::explore`] returns on
-    /// the same run (`peak_frontier` is 0: the certifying walk is
-    /// depth-first and has no frontier).
+    /// The sequential explorer's report of the certifying walk: what
+    /// [`crate::exhaustive::explore_with`] returns on the same run without
+    /// reduction and frontier cap, except that `failures` is sorted like
+    /// the certificate's witnesses.
     pub report: ExplorationReport<O>,
 }
 
@@ -297,10 +310,14 @@ pub struct CertificateScenario<'a> {
 /// mismatch). With `config.faults` set to a non-inert plan, the walk also
 /// branches over which scheduled writes die, up to the plan's budget.
 ///
-/// Errors instead of truncating: a partial walk proves nothing, so
-/// exceeding `config.max_states` is an error, and [`DedupPolicy::Off`] is
-/// refused outright (see the module docs on the soundness boundary).
-/// `config.max_frontier` is ignored — the certifying walk is depth-first.
+/// The walk is the sequential explorer with fingerprint dedup, no
+/// reduction and no frontier cap, deduplicating through a seen-set that
+/// logs every probed transition as an edge. Errors instead of truncating:
+/// a partial walk proves nothing, so exceeding `config.max_states` is an
+/// error, and [`DedupPolicy::Off`] is refused outright (see the module docs
+/// on the soundness boundary). `config.max_frontier` and
+/// `config.reduction` do not change the walk; the policy is recorded as
+/// provenance only.
 pub fn certify<P, C>(
     protocol: &P,
     g: &Graph,
@@ -322,54 +339,61 @@ where
         );
     }
 
-    let mut engine = Engine::new(protocol, g);
-    engine.activation_phase();
-    let initial = engine.canonical_fingerprint().as_u128();
-
-    let mut walk = Walk {
-        check: &check,
-        fault_budget: config.fault_budget(),
-        seen: HashSet::from([initial]),
-        max_states: config.max_states,
-        overflow: false,
-        edges: Vec::new(),
-        terminals: Vec::new(),
-        witnesses: Vec::new(),
-        outcomes: Vec::new(),
-        failures: Vec::new(),
-        merged: 0,
-        path: Vec::new(),
-        trace: Vec::new(),
+    let walk = ExploreConfig {
+        max_frontier: usize::MAX,
+        reduction: ReductionPolicy::Off,
+        ..config.clone()
     };
-
-    if engine.has_active() {
-        walk.expand(&mut engine, initial);
-    } else {
-        walk.terminal(&engine, initial);
-    }
-    if walk.overflow {
+    let seen = CertifyingSeen::default();
+    // The explorer judges terminals in the order the seen-set logs them.
+    let verdicts = RefCell::new(Vec::new());
+    let judge = |outcome: &Outcome<P::Output>, died: &[NodeId]| {
+        let verdict = check(outcome, died);
+        verdicts.borrow_mut().push(verdict);
+        verdict
+    };
+    let red = Reduction::build(protocol, g, &walk);
+    let mut report = explore_sequential(protocol, g, &walk, &judge, &seen, &red);
+    if report.truncated {
         return Err(format!(
             "exploration exceeded max_states = {}: a truncated walk cannot be certified",
             config.max_states
         ));
     }
 
-    let report = ExplorationReport {
-        distinct_states: walk.seen.len() as u64,
-        terminals: walk.terminals.len() as u64,
-        merged: walk.merged,
-        truncated: false,
-        peak_frontier: 0,
-        outcomes: walk.outcomes,
-        failures: walk.failures,
-        // The certifying walk never reduces (every edge must be present for
-        // the verifier), so there are no reduction stats to report.
-        reduction: None,
-    };
-    let mut edges = walk.edges;
+    let log = seen.0.into_inner();
+    let mut edges = log.edges;
     edges.sort_unstable();
-    let mut terminals = walk.terminals;
+    let mut terminals: Vec<CertificateTerminal> = log
+        .terminals
+        .into_iter()
+        .zip(&report.outcomes)
+        .zip(verdicts.into_inner())
+        .map(|((config, outcome), verdict)| CertificateTerminal {
+            config,
+            verdict,
+            outcome: format!("{outcome:?}"),
+        })
+        .collect();
     terminals.sort_by_key(|t| t.config);
+    // Depth-first order: lexicographic by pick, a pick's write before its
+    // crash. The breadth-first walk meets failures shortest-first.
+    report.failures.sort_by_cached_key(|f| {
+        f.schedule
+            .iter()
+            .map(|v| (*v, f.died.contains(v)))
+            .collect::<Vec<_>>()
+    });
+    let witnesses = report
+        .failures
+        .iter()
+        .map(|f| CertificateWitness {
+            schedule: f.schedule.clone(),
+            trace: replay_trace(protocol, g, f),
+            died: f.died.clone(),
+            outcome: format!("{:?}", f.outcome),
+        })
+        .collect();
     let certificate = ExplorationCertificate {
         protocol: scenario.protocol.to_string(),
         model: protocol.model(),
@@ -378,12 +402,11 @@ where
         family: scenario.family.map(str::to_string),
         seed: scenario.seed,
         faults: config.faults.filter(|p| !p.is_inert()).map(|p| p.spec()),
-        reduction: (config.reduction != crate::exhaustive::ReductionPolicy::Off)
-            .then(|| config.reduction.to_string()),
-        initial,
+        reduction: (config.reduction != ReductionPolicy::Off).then(|| config.reduction.to_string()),
+        initial: log.initial,
         edges,
         terminals,
-        witnesses: walk.witnesses,
+        witnesses,
         states: report.distinct_states,
     };
     Ok(CertifiedExploration {
@@ -392,112 +415,71 @@ where
     })
 }
 
-/// The certifying depth-first walk: one engine, undo-log branching, dedup by
-/// canonical fingerprint, recording every edge and the current path/trace so
-/// failing terminals come out as witnesses.
-struct Walk<'c, O, C> {
-    check: &'c C,
-    fault_budget: usize,
+/// The certifying walk's seen-set: canonical fingerprints, logging every
+/// probed transition as an edge and every new terminal's hash.
+#[derive(Default)]
+struct CertifyingSeen(RefCell<WalkLog>);
+
+#[derive(Default)]
+struct WalkLog {
     seen: HashSet<u128>,
-    max_states: u64,
-    overflow: bool,
+    initial: u128,
+    /// Hash of the configuration being expanded.
+    from: u128,
     edges: Vec<CertificateEdge>,
-    terminals: Vec<CertificateTerminal>,
-    witnesses: Vec<CertificateWitness>,
-    outcomes: Vec<Outcome<O>>,
-    failures: Vec<ScheduleFailure<O>>,
-    merged: u64,
-    path: Vec<NodeId>,
-    trace: Vec<u128>,
+    /// New terminal hashes, in the order the explorer judges them.
+    terminals: Vec<u128>,
 }
 
-impl<O: Clone + Debug, C: Fn(&Outcome<O>, &[NodeId]) -> bool> Walk<'_, O, C> {
-    fn terminal<P: Protocol<Output = O>>(&mut self, engine: &Engine<'_, P>, hash: u128) {
-        let run = engine.report();
-        let verdict = (self.check)(&run.outcome, &run.crashed);
-        self.terminals.push(CertificateTerminal {
-            config: hash,
-            verdict,
-            outcome: format!("{:?}", run.outcome),
-        });
-        if !verdict {
-            self.witnesses.push(CertificateWitness {
-                schedule: self.path.clone(),
-                trace: self.trace.clone(),
-                died: run.crashed.clone(),
-                outcome: format!("{:?}", run.outcome),
-            });
-            self.failures.push(ScheduleFailure {
-                schedule: run.write_order,
-                died: run.crashed,
-                outcome: run.outcome.clone(),
-            });
+impl SeenProbe for CertifyingSeen {
+    fn probe<P: Protocol>(&self, engine: &Engine<P>, _red: &Reduction, _sleep: u64) -> Probe {
+        let to = engine.canonical_fingerprint().as_u128();
+        let log = &mut *self.0.borrow_mut();
+        // The transition just taken is the last pick; it crashed iff it is
+        // also the last casualty (every node is picked at most once).
+        match engine.write_order().last() {
+            Some(&writer) => log.edges.push(CertificateEdge {
+                from: log.from,
+                writer,
+                crash: engine.crashed().last() == Some(&writer),
+                to,
+            }),
+            None => log.initial = to,
         }
-        self.outcomes.push(run.outcome);
+        let new = log.seen.insert(to);
+        if new && !engine.has_active() {
+            log.terminals.push(to);
+        }
+        probe_from_insert(new)
     }
 
-    /// Record one edge and recurse into its target if unseen. The caller has
-    /// already applied the step (survive or crash) and must undo it after.
-    fn record<P: Protocol<Output = O>>(
-        &mut self,
-        engine: &mut Engine<'_, P>,
-        from: u128,
-        pick: NodeId,
-        crash: bool,
-        to: u128,
-    ) {
-        self.edges.push(CertificateEdge {
-            from,
-            writer: pick,
-            crash,
-            to,
-        });
-        if self.seen.insert(to) {
-            if self.seen.len() as u64 > self.max_states {
-                self.overflow = true;
-            } else {
-                self.path.push(pick);
-                self.trace.push(to);
-                if engine.has_active() {
-                    self.expand(engine, to);
-                } else {
-                    self.terminal(engine, to);
-                }
-                self.path.pop();
-                self.trace.pop();
-            }
-        } else {
-            self.merged += 1;
-        }
+    fn enter<P: Protocol>(&self, engine: &Engine<P>) {
+        self.0.borrow_mut().from = engine.canonical_fingerprint().as_u128();
     }
+}
 
-    fn expand<P: Protocol<Output = O>>(&mut self, engine: &mut Engine<'_, P>, from: u128) {
-        for pick in 1..=engine.node_count() as NodeId {
-            if self.overflow {
-                return;
-            }
-            if !engine.is_active(pick) {
-                continue;
-            }
-            let token = engine.step_token();
-            engine.step(pick);
-            engine.activation_phase();
-            let to = engine.canonical_fingerprint().as_u128();
-            self.record(engine, from, pick, false, to);
-            engine.undo(token);
-            if self.overflow {
-                return;
-            }
-            if engine.crashed_count() < self.fault_budget {
-                let token = engine.step_token();
+/// Replay a failure's schedule from the initial configuration, hashing the
+/// configuration after every pick: the witness's strict-replay trace.
+fn replay_trace<P: Protocol>(
+    protocol: &P,
+    g: &Graph,
+    failure: &ScheduleFailure<P::Output>,
+) -> Vec<u128> {
+    let mut engine = Engine::new(protocol, g);
+    engine.activation_phase();
+    failure
+        .schedule
+        .iter()
+        .map(|&pick| {
+            if failure.died.contains(&pick) {
                 engine.step_crash(pick);
-                engine.activation_phase();
-                let to = engine.canonical_fingerprint().as_u128();
-                self.record(engine, from, pick, true, to);
-                engine.undo(token);
+            } else {
+                engine.step(pick);
             }
-        }
-    }
+            engine.activation_phase();
+            engine.canonical_fingerprint().as_u128()
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -358,7 +358,9 @@ impl<'a, P: Protocol> Engine<'a, P> {
         }
     }
 
-    /// Accept every change recorded under `token` and drop the journal.
+    /// Accept every change recorded under `token` and drop the journal,
+    /// its memory included: a committed engine is typically parked in a
+    /// frontier, where it should weigh no more than a clone.
     /// Only valid for the outermost token (the journal below it would
     /// otherwise be left inconsistent for enclosing savepoints).
     pub fn commit(&mut self, token: StepToken) {
@@ -369,7 +371,7 @@ impl<'a, P: Protocol> Engine<'a, P> {
         debug_assert_eq!(token.mark, 0);
         let _ = token;
         self.tokens = 0;
-        self.undo.clear();
+        self.undo = Vec::new();
     }
 
     /// Poll all awake nodes' activation predicates (free models). Must be

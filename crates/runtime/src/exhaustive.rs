@@ -10,12 +10,14 @@
 //!
 //! - The **schedule-space explorer** ([`explore`] / [`explore_parallel`] /
 //!   [`assert_explored`]) — an iterative worklist over a frontier of
-//!   configurations. Children are generated clone-free: the expander opens a
-//!   savepoint ([`Engine::step_token`]), steps, probes the seen-set, and
-//!   undoes — only children that survive deduplication are cloned into the
-//!   next frontier, so the per-child cost is `O(changed bytes)` instead of
-//!   `O(engine size)`. Deduplication streams the canonical configuration
-//!   encoding into a 128-bit [`Engine::canonical_fingerprint`] by default
+//!   configurations. Children are generated clone-free: for each awake
+//!   pick's write and, while a fault budget lasts, its crash, the one
+//!   expander opens a savepoint ([`Engine::step_token`]), steps, probes the
+//!   seen-set, and undoes — only children that survive deduplication are
+//!   cloned into the next frontier, so the per-child cost is
+//!   `O(changed bytes)` instead of `O(engine size)`. Deduplication streams
+//!   the canonical configuration encoding into a 128-bit
+//!   [`Engine::canonical_fingerprint`] by default
 //!   ([`DedupPolicy::Canonical`]), with exact full-encoding snapshots kept as
 //!   a verification mode ([`DedupPolicy::Exact`]); the seen-set is striped by
 //!   fingerprint prefix (`wb_par::StripedSet`) so the parallel explorer
@@ -394,10 +396,10 @@ struct SymQuotient {
     order: u64,
 }
 
-/// Everything the expanders need to apply the configured reductions; built
+/// Everything the expander needs to apply the configured reductions; built
 /// once per exploration. Both parts are `None` when the corresponding
 /// technique did not arm (policy off, protocol ineligible, dedup off).
-struct Reduction {
+pub(crate) struct Reduction {
     /// `indep[u-1]` = bitmask of nodes whose writes commute with `u`'s
     /// (bit `v-1` = node `v`). Present iff sleep-set DPOR armed.
     indep: Option<Vec<u64>>,
@@ -435,7 +437,7 @@ impl Reduction {
     ///   only commute when they also share no neighbor (distance > 2).
     /// - Symmetry needs equivariance, dedup on, and a completely enumerated
     ///   stabilizer of order > 1.
-    fn build<P: Protocol>(protocol: &P, g: &Graph, config: &ExploreConfig) -> Self {
+    pub(crate) fn build<P: Protocol>(protocol: &P, g: &Graph, config: &ExploreConfig) -> Self {
         let mut red = Reduction::inert(config);
         let policy = config.reduction;
         if policy == ReductionPolicy::Off || config.dedup == DedupPolicy::Off {
@@ -560,7 +562,7 @@ fn to_canonical_frame(sleep: u64, perm: Option<&PermPair>) -> u64 {
 }
 
 /// Result of probing the seen structure with one configuration.
-enum Probe {
+pub(crate) enum Probe {
     /// First visit.
     New,
     /// Already seen, nothing left to do under it.
@@ -571,7 +573,7 @@ enum Probe {
     Wake(u64),
 }
 
-fn probe_from_insert(new: bool) -> Probe {
+pub(crate) fn probe_from_insert(new: bool) -> Probe {
     if new {
         Probe::New
     } else {
@@ -595,10 +597,15 @@ fn probe_from_merge(merge: MaskMerge, perm: Option<&PermPair>) -> Probe {
 /// the parallel explorer shares a striped one. `red` canonicalizes the key
 /// over the automorphism quotient; `sleep` is this arrival's sleep mask
 /// (ignored by the plain set variants, intersected into the stored mask by
-/// the sleep-map variants DPOR uses).
-trait SeenProbe {
-    /// Record the engine's current configuration.
+/// the sleep-map variants DPOR uses). The certifying walk plugs in a set
+/// that also logs the transition graph (`crate::certificate`).
+pub(crate) trait SeenProbe {
+    /// Record the engine's current configuration: the root, or a child of
+    /// the configuration last passed to [`Self::enter`].
     fn probe<P: Protocol>(&self, engine: &Engine<P>, red: &Reduction, sleep: u64) -> Probe;
+
+    /// Called with each configuration before its transitions are probed.
+    fn enter<P: Protocol>(&self, _engine: &Engine<P>) {}
 }
 
 /// The shared seen structure, striped by key prefix so concurrent workers
@@ -878,21 +885,28 @@ where
     }
 }
 
-/// Expand one configuration clone-free: for every active pick, open a
-/// savepoint, step + run the next activation phase, probe the seen-set, and
-/// undo. Only unseen interior children are cloned (and the final one simply
-/// keeps the stepped engine — the parent is spent anyway); every survivor
-/// is handed to `visit`. The engine in the frontier is always
-/// post-activation.
+/// Expand one configuration clone-free: for every awake pick, take its
+/// transitions in turn — its write, then its crash while the fault budget
+/// lasts — each under a savepoint: apply, probe the seen-set, settle, undo.
+/// Only children that survive deduplication are cloned, and a first visit
+/// reached by the final transition takes the engine instead (the parent is
+/// spent anyway). Every survivor is handed to `visit`; the engine in the
+/// frontier is always post-activation.
 ///
-/// On simultaneous models the probe is **write-only**: the canonical
+/// On simultaneous models a write is probed **write-only**: the canonical
 /// encoding (statuses, frozen messages, board) is final right after the
 /// write, the activation phase is a no-op, and observation only mutates
 /// private node state — so merged and terminal children skip the whole
 /// observation fan-out, and only surviving interior children pay for
-/// delivery. Free models observe before the activation phase as usual.
+/// delivery. A crash puts nothing on the board, so it has nothing to
+/// deliver; free models observe before the activation phase as usual.
+///
+/// A sleeping pick skips *both* of its transitions: crash(v) writes
+/// nothing, so it commutes with at least everything write(v) commutes with,
+/// and reordering it never changes how much crash budget remains.
 fn expand_into<'a, P, S, V>(
     pending: Pending<'a, P>,
+    fault_budget: usize,
     seen: &S,
     progress: &Progress,
     red: &Reduction,
@@ -907,14 +921,16 @@ fn expand_into<'a, P, S, V>(
         sleep,
         restrict,
     } = pending;
+    seen.enter(&engine);
     let dpor = red.indep.is_some();
     let indep = red.indep.as_deref().unwrap_or(&[]);
+    let simultaneous = engine.is_simultaneous();
     // Iterate IDs and re-check activity instead of materializing the active
     // set: the undo after each child restores exactly the statuses this
     // loop started from, so the walked picks equal `active_set()` — minus
     // one Vec allocation per expanded state.
     let n = engine.node_count() as NodeId;
-    let n_allowed = if dpor {
+    let picks = if dpor {
         (1..=n)
             .filter(|&p| {
                 let bit = 1u64 << (p - 1);
@@ -924,7 +940,8 @@ fn expand_into<'a, P, S, V>(
     } else {
         engine.active_count()
     };
-    let simultaneous = engine.is_simultaneous();
+    let per_pick = 1 + usize::from(engine.crashed_count() < fault_budget);
+    let total = picks * per_pick;
     // Picks expanded so far this round, as a mask: a later pick's child may
     // sleep on them exactly when they are independent of it.
     let mut explored = 0u64;
@@ -945,243 +962,70 @@ fn expand_into<'a, P, S, V>(
                 continue;
             }
         }
-        if progress.stopped() {
-            break;
-        }
-        walked += 1;
-        let last = walked == n_allowed;
         let child_sleep = if dpor {
             (sleep | explored) & indep[pick as usize - 1]
         } else {
             0
         };
-        let token = engine.step_token();
-        if simultaneous {
-            engine.step_unobserved(pick);
-            match progress.record(seen.probe(&engine, red, child_sleep)) {
-                Admit::Expand => {
-                    if !engine.has_active() {
-                        // Terminal: the report reads only board + write
-                        // order, so the undelivered observations are
-                        // irrelevant.
-                        emit_leaf(&engine, red, progress, visit);
-                    } else if last {
-                        engine.deliver_last_entry();
-                        engine.commit(token);
-                        visit(Child::Interior(Pending {
-                            engine,
-                            sleep: child_sleep,
-                            restrict: u64::MAX,
-                        }));
-                        return;
-                    } else {
-                        engine.deliver_last_entry();
-                        visit(Child::Interior(Pending {
-                            engine: engine.clone(),
-                            sleep: child_sleep,
-                            restrict: u64::MAX,
-                        }));
-                    }
-                }
-                Admit::Reexpand(woken) => {
-                    if engine.has_active() {
-                        progress.reexpansions.fetch_add(1, Ordering::Relaxed);
-                        engine.deliver_last_entry();
-                        visit(Child::Interior(Pending {
-                            engine: engine.clone(),
-                            sleep: child_sleep,
-                            restrict: woken,
-                        }));
-                    }
-                }
-                Admit::Skip => {}
+        for &crash in &[false, true][..per_pick] {
+            if progress.stopped() {
+                return;
             }
-        } else {
-            engine.step(pick);
-            engine.activation_phase();
-            match progress.record(seen.probe(&engine, red, child_sleep)) {
-                Admit::Expand => {
-                    if !engine.has_active() {
-                        emit_leaf(&engine, red, progress, visit);
-                    } else if last {
-                        engine.commit(token);
-                        visit(Child::Interior(Pending {
-                            engine,
-                            sleep: child_sleep,
-                            restrict: u64::MAX,
-                        }));
-                        return;
-                    } else {
-                        visit(Child::Interior(Pending {
-                            engine: engine.clone(),
-                            sleep: child_sleep,
-                            restrict: u64::MAX,
-                        }));
-                    }
-                }
-                Admit::Reexpand(woken) => {
-                    if engine.has_active() {
-                        progress.reexpansions.fetch_add(1, Ordering::Relaxed);
-                        visit(Child::Interior(Pending {
-                            engine: engine.clone(),
-                            sleep: child_sleep,
-                            restrict: woken,
-                        }));
-                    }
-                }
-                Admit::Skip => {}
-            }
-        }
-        engine.undo(token);
-        if dpor {
-            explored |= 1u64 << (pick - 1);
-        }
-    }
-}
-
-/// Expand one configuration under a fault budget `f > 0`: every active pick
-/// branches into its surviving write *and* (budget permitting) its crashed
-/// write ([`Engine::step_crash`]). Same savepoint/probe/undo discipline as
-/// [`expand_into`]; survivors are always cloned (no keep-the-engine
-/// optimization — each pick has up to two children, so the parent is never
-/// known-spent before the loop ends).
-fn expand_into_faulted<'a, P, S, V>(
-    pending: Pending<'a, P>,
-    f: usize,
-    seen: &S,
-    progress: &Progress,
-    red: &Reduction,
-    visit: &mut V,
-) where
-    P: Protocol,
-    S: SeenProbe,
-    V: FnMut(Child<'a, P>),
-{
-    let Pending {
-        mut engine,
-        sleep,
-        restrict,
-    } = pending;
-    let dpor = red.indep.is_some();
-    let indep = red.indep.as_deref().unwrap_or(&[]);
-    let simultaneous = engine.is_simultaneous();
-    let can_crash = engine.crashed_count() < f;
-    // A sleeping pick skips *both* of its branches: crash(v) writes nothing,
-    // so it commutes with at least everything write(v) commutes with, and
-    // reordering it never changes how much crash budget remains.
-    let mut explored = 0u64;
-    for pick in 1..=engine.node_count() as NodeId {
-        if !engine.is_active(pick) {
-            continue;
-        }
-        if dpor {
-            let bit = 1u64 << (pick - 1);
-            if restrict & bit == 0 {
-                continue;
-            }
-            if sleep & bit != 0 {
-                if restrict == u64::MAX {
-                    progress.sleep_skipped.fetch_add(1, Ordering::Relaxed);
-                }
-                continue;
-            }
-        }
-        if progress.stopped() {
-            break;
-        }
-        let child_sleep = if dpor {
-            (sleep | explored) & indep[pick as usize - 1]
-        } else {
-            0
-        };
-        // Branch 1: the write survives.
-        let token = engine.step_token();
-        if simultaneous {
-            engine.step_unobserved(pick);
-            match progress.record(seen.probe(&engine, red, child_sleep)) {
-                Admit::Expand => {
-                    if !engine.has_active() {
-                        emit_leaf(&engine, red, progress, visit);
-                    } else {
-                        engine.deliver_last_entry();
-                        visit(Child::Interior(Pending {
-                            engine: engine.clone(),
-                            sleep: child_sleep,
-                            restrict: u64::MAX,
-                        }));
-                    }
-                }
-                Admit::Reexpand(woken) => {
-                    if engine.has_active() {
-                        progress.reexpansions.fetch_add(1, Ordering::Relaxed);
-                        engine.deliver_last_entry();
-                        visit(Child::Interior(Pending {
-                            engine: engine.clone(),
-                            sleep: child_sleep,
-                            restrict: woken,
-                        }));
-                    }
-                }
-                Admit::Skip => {}
-            }
-        } else {
-            engine.step(pick);
-            engine.activation_phase();
-            match progress.record(seen.probe(&engine, red, child_sleep)) {
-                Admit::Expand => {
-                    if !engine.has_active() {
-                        emit_leaf(&engine, red, progress, visit);
-                    } else {
-                        visit(Child::Interior(Pending {
-                            engine: engine.clone(),
-                            sleep: child_sleep,
-                            restrict: u64::MAX,
-                        }));
-                    }
-                }
-                Admit::Reexpand(woken) => {
-                    if engine.has_active() {
-                        progress.reexpansions.fetch_add(1, Ordering::Relaxed);
-                        visit(Child::Interior(Pending {
-                            engine: engine.clone(),
-                            sleep: child_sleep,
-                            restrict: woken,
-                        }));
-                    }
-                }
-                Admit::Skip => {}
-            }
-        }
-        engine.undo(token);
-        // Branch 2: the write dies (no board entry, so no delivery; the
-        // activation phase is a no-op under simultaneous models).
-        if can_crash && !progress.stopped() {
+            walked += 1;
             let token = engine.step_token();
-            engine.step_crash(pick);
-            engine.activation_phase();
-            match progress.record(seen.probe(&engine, red, child_sleep)) {
-                Admit::Expand => {
-                    if !engine.has_active() {
-                        emit_leaf(&engine, red, progress, visit);
-                    } else {
-                        visit(Child::Interior(Pending {
-                            engine: engine.clone(),
-                            sleep: child_sleep,
-                            restrict: u64::MAX,
-                        }));
-                    }
+            let write_only = simultaneous && !crash;
+            if crash {
+                engine.step_crash(pick);
+            } else if write_only {
+                engine.step_unobserved(pick);
+            } else {
+                engine.step(pick);
+            }
+            if !write_only {
+                engine.activation_phase();
+            }
+            let woken = match progress.record(seen.probe(&engine, red, child_sleep)) {
+                Admit::Expand if !engine.has_active() => {
+                    // Terminal: the report reads only board + write order,
+                    // so the undelivered observations are irrelevant.
+                    emit_leaf(&engine, red, progress, visit);
+                    None
                 }
-                Admit::Reexpand(woken) => {
-                    if engine.has_active() {
-                        progress.reexpansions.fetch_add(1, Ordering::Relaxed);
-                        visit(Child::Interior(Pending {
-                            engine: engine.clone(),
-                            sleep: child_sleep,
-                            restrict: woken,
-                        }));
-                    }
+                Admit::Expand => Some(u64::MAX),
+                Admit::Reexpand(woken) if engine.has_active() => {
+                    progress.reexpansions.fetch_add(1, Ordering::Relaxed);
+                    Some(woken)
                 }
-                Admit::Skip => {}
+                Admit::Reexpand(_) | Admit::Skip => None,
+            };
+            if let Some(woken) = woken {
+                if write_only {
+                    engine.deliver_last_entry();
+                }
+                let child = |engine| {
+                    Child::Interior(Pending {
+                        engine,
+                        sleep: child_sleep,
+                        restrict: woken,
+                    })
+                };
+                if walked == total && woken == u64::MAX {
+                    // `sleep_skipped` counts the sleeping picks this loop
+                    // passes; a faulted walk also counts those past the
+                    // hand-off: the mask bits above `pick`, since a sleep
+                    // mask only holds active picks. `tests/golden_reports.rs`
+                    // pins both rules.
+                    if fault_budget > 0 && restrict == u64::MAX {
+                        let rest = sleep.checked_shr(pick).unwrap_or(0).count_ones();
+                        progress
+                            .sleep_skipped
+                            .fetch_add(rest.into(), Ordering::Relaxed);
+                    }
+                    engine.commit(token);
+                    visit(child(engine));
+                    return;
+                }
+                visit(child(engine.clone()));
             }
             engine.undo(token);
         }
@@ -1231,14 +1075,34 @@ where
 {
     let red = Reduction::build(protocol, g, config);
     let seen = LocalSeen::new(config.dedup, red.indep.is_some());
+    explore_sequential(protocol, g, config, &check, &seen, &red)
+}
+
+/// The sequential walk behind [`explore_with`], over a caller-chosen
+/// seen-set: the certifying walk passes one that also logs the transition
+/// graph.
+pub(crate) fn explore_sequential<P, C, S>(
+    protocol: &P,
+    g: &Graph,
+    config: &ExploreConfig,
+    check: &C,
+    seen: &S,
+    red: &Reduction,
+) -> ExplorationReport<P::Output>
+where
+    P: Protocol,
+    P::Output: Clone,
+    C: Fn(&Outcome<P::Output>, &[NodeId]) -> bool,
+    S: SeenProbe,
+{
     let f = config.fault_budget();
     explore_impl(
         protocol,
         g,
         config,
-        &check,
-        &seen,
-        &red,
+        check,
+        seen,
+        red,
         |frontier, seen, progress, red, report, check_leaf, max_frontier| {
             // Children merge straight into the report/next frontier — no
             // intermediate expansion buffers on the sequential path.
@@ -1255,11 +1119,7 @@ where
                         }
                     }
                 };
-                if f == 0 {
-                    expand_into(pending, seen, progress, red, &mut visit);
-                } else {
-                    expand_into_faulted(pending, f, seen, progress, red, &mut visit);
-                }
+                expand_into(pending, f, seen, progress, red, &mut visit);
                 if overflow {
                     report.truncated = true;
                     break;
@@ -1324,11 +1184,7 @@ where
                     Child::Leaf(run) => exp.leaves.push(run),
                     Child::Interior(pending) => exp.interior.push(pending),
                 };
-                if f == 0 {
-                    expand_into(p, seen, progress, red, &mut visit);
-                } else {
-                    expand_into_faulted(p, f, seen, progress, red, &mut visit);
-                }
+                expand_into(p, f, seen, progress, red, &mut visit);
                 exp
             });
             let mut next: Vec<Pending<P>> = Vec::new();

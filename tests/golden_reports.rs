@@ -85,9 +85,18 @@ fn triangle_tail() -> Graph {
     Graph::from_edges(5, &[(1, 2), (1, 3), (2, 3), (3, 4), (4, 5)])
 }
 
+/// One certificate: `(protocol, family, graph, model, faults)`.
+type CertificateCase = (
+    &'static str,
+    Option<&'static str>,
+    Graph,
+    Option<Model>,
+    Option<FaultPlan>,
+);
+
 fn certificate_lines() -> String {
     let crash1 = Some(FaultPlan::crash_stop(1));
-    let cases: Vec<(&str, Option<&str>, Graph, Option<Model>, Option<FaultPlan>)> = vec![
+    let cases: Vec<CertificateCase> = vec![
         ("mis:1", Some("cycle"), generators::cycle(5), None, None),
         ("build:1", Some("path"), generators::path(4), None, crash1),
         ("bfs", Some("path"), generators::path(4), None, crash1),
@@ -155,6 +164,27 @@ fn certificates_match_the_golden_bytes() {
     assert_same_lines(&rendered, &golden("certificates.jsonl"), "certificate");
     for line in rendered.lines() {
         wb_verify::verify_line(line).expect("golden certificate must verify");
+    }
+}
+
+/// DPOR's sleep-skip counter on an instance where its two rules differ: a
+/// fault-free walk stops counting when it hands its engine to the last
+/// child, a faulted walk counts every sleeping pick.
+#[test]
+fn sleep_skip_counts_are_pinned() {
+    for (faults, want) in [(None, 87), (Some("crash:1"), 387)] {
+        let mut spec = JobSpec::new(JobKind::Explore);
+        spec.protocol = "mis:1".into();
+        spec.workload = "tree".into();
+        spec.n = 6;
+        spec.seed = 2;
+        spec.reduction = "dpor".into();
+        spec.faults = faults.map(String::from);
+        let line = run_job(&spec).unwrap().line();
+        assert!(
+            line.contains(&format!("\"sleep_skipped\":{want},")),
+            "{faults:?}: {line}"
+        );
     }
 }
 
