@@ -11,9 +11,10 @@
 
 use wb_bench::certify::{certify_spec, CertifiedRun, Provenance};
 use wb_core::registry::{self, BoundOracle, ProtocolVisitor, PROTOCOLS};
+use wb_graph::enumerate::all_graphs;
 use wb_graph::{generators, Graph};
 use wb_runtime::certificate::CertificateEdge;
-use wb_runtime::{Engine, ExploreConfig, FaultPlan, Protocol};
+use wb_runtime::{explore_with, Engine, ExploreConfig, FaultPlan, Protocol};
 use wb_verify::{machine::Machine, verify_line, VerifyError};
 
 /// Certify `spec` on `g` under its native model.
@@ -38,17 +39,68 @@ fn triangle_tail() -> Graph {
 // Valid certificates: the whole registry, small graphs.
 // ---------------------------------------------------------------------------
 
+/// `(distinct states, terminals, merged, failures)` of the plain explorer
+/// on the same protocol, graph and plan as a certificate.
+struct ExploreCounts<'a> {
+    g: &'a Graph,
+    config: &'a ExploreConfig,
+}
+
+impl ProtocolVisitor for ExploreCounts<'_> {
+    type Result = (u64, u64, u64, usize);
+
+    fn visit<P, B>(self, protocol: P, bind: B) -> Self::Result
+    where
+        P: Protocol + Clone + Send + Sync,
+        P::Node: Send + Sync,
+        P::Output: Clone + PartialEq + std::fmt::Debug + Send + Sync,
+        B: for<'g> Fn(&'g Graph) -> BoundOracle<'g, P::Output> + Send + Sync,
+    {
+        let oracle = bind(self.g);
+        let report = explore_with(&protocol, self.g, self.config, |o, died| oracle(o, died));
+        (
+            report.distinct_states,
+            report.terminals,
+            report.merged,
+            report.failures.len(),
+        )
+    }
+}
+
+/// Every registry protocol on every labeled graph with n ≤ 4, fault-free
+/// and under `crash:1`: each certificate passes `wb-verify`, and its counts
+/// equal the plain explorer's. `wb-verify` replays its own machine, so this
+/// checks the explorer's reachable graph independently across the registry.
 #[test]
 fn every_registry_protocol_certifies_and_verifies() {
-    for g in [generators::path(4), generators::cycle(4)] {
-        for info in PROTOCOLS {
-            let run = certified(info.name, &g);
-            let summary = verify_line(&run.certificate.to_json_line())
-                .unwrap_or_else(|e| panic!("fresh {} certificate must verify: {e}", info.name));
-            assert_eq!(summary.protocol, info.name);
-            assert_eq!(summary.states, run.distinct_states);
-            assert_eq!(summary.terminals as u64, run.terminals);
-            assert_eq!(summary.failures, run.failures);
+    for faults in [None, Some(FaultPlan::crash_stop(1))] {
+        let config = ExploreConfig::default().with_faults(faults);
+        for g in (1..=4).flat_map(all_graphs) {
+            for info in PROTOCOLS {
+                let label = format!("{} on {g:?} ({faults:?})", info.name);
+                let run = certify_spec(info.name, &g, None, Provenance::default(), &config)
+                    .unwrap_or_else(|e| panic!("{label} must certify: {e}"));
+                let summary = verify_line(&run.certificate.to_json_line())
+                    .unwrap_or_else(|e| panic!("fresh {label} certificate must verify: {e}"));
+                assert_eq!(summary.protocol, info.name);
+                assert_eq!(summary.states, run.distinct_states, "{label}");
+                assert_eq!(summary.terminals as u64, run.terminals, "{label}");
+                assert_eq!(summary.failures, run.failures, "{label}");
+                let explored = registry::dispatch(
+                    info.name,
+                    g.n(),
+                    ExploreCounts {
+                        g: &g,
+                        config: &config,
+                    },
+                )
+                .unwrap();
+                assert_eq!(
+                    explored,
+                    (run.distinct_states, run.terminals, run.merged, run.failures),
+                    "{label}: certificate and explorer disagree"
+                );
+            }
         }
     }
 }
