@@ -38,12 +38,28 @@ pub fn split_spec(spec: &str) -> (&str, Option<u64>) {
 
 /// Generate the instance named by `spec` at `n` nodes, deterministically
 /// from `seed`. See the module table for the recognized families.
+///
+/// Whiteboard protocols need at least one node, so asking a generated
+/// family for `n = 0`, or building an instance without nodes (an empty
+/// edge-list file, `two-cliques` at `n = 1`), is an error. `file:` specs
+/// ignore `n`.
 pub fn graph_family(spec: &str, n: usize, seed: u64) -> Result<Graph, String> {
     // `file:PATH` loads an edge list (the path may contain ':').
-    if let Some(path) = spec.strip_prefix("file:") {
-        return wb_graph::io::load_edge_list(std::path::Path::new(path))
-            .map_err(|e| format!("cannot load '{path}': {e}"));
+    let g = match spec.strip_prefix("file:") {
+        Some(path) => wb_graph::io::load_edge_list(std::path::Path::new(path))
+            .map_err(|e| format!("cannot load '{path}': {e}"))?,
+        None if n == 0 => return Err(format!("workload '{spec}' needs n ≥ 1, got n = 0")),
+        None => generate(spec, n, seed)?,
+    };
+    if g.n() == 0 {
+        return Err(format!(
+            "workload '{spec}' has no nodes (n = {n}); whiteboard protocols need at least one"
+        ));
     }
+    Ok(g)
+}
+
+fn generate(spec: &str, n: usize, seed: u64) -> Result<Graph, String> {
     let mut rng = StdRng::seed_from_u64(seed);
     let (kind, arg) = split_spec(spec);
     let k = arg.unwrap_or(2) as usize;
@@ -112,6 +128,17 @@ mod tests {
     fn unknown_family_is_an_error() {
         assert!(graph_family("frobnicate", 10, 1).is_err());
         assert!(graph_family("file:/nonexistent", 10, 1).is_err());
+    }
+
+    #[test]
+    fn empty_instances_are_errors() {
+        for spec in ["tree", "path", "cycle", "clique", "gnp-lin:4", "kdeg-lin:2"] {
+            let err = graph_family(spec, 0, 1).unwrap_err();
+            assert!(err.contains("n ≥ 1"), "{spec}: {err}");
+        }
+        let err = graph_family("two-cliques", 1, 1).unwrap_err();
+        assert!(err.contains("no nodes"), "{err}");
+        assert_eq!(graph_family("path", 1, 1).unwrap().n(), 1);
     }
 
     #[test]

@@ -648,6 +648,16 @@ mod tests {
     }
 
     #[test]
+    fn empty_instances_are_errors_for_every_kind() {
+        for kind in [JobKind::Explore, JobKind::Campaign, JobKind::Bulk] {
+            let mut spec = JobSpec::new(kind);
+            spec.n = 0;
+            let err = run_job(&spec).unwrap_err();
+            assert!(err.contains("needs n ≥ 1"), "{kind:?}: {err}");
+        }
+    }
+
+    #[test]
     fn kind_names_round_trip() {
         for kind in [JobKind::Explore, JobKind::Campaign, JobKind::Bulk] {
             assert_eq!(JobKind::parse(kind.name()).unwrap(), kind);

@@ -343,6 +343,43 @@ fn deadlines_discard_results_of_overrunning_jobs() {
     });
 }
 
+/// A job asking for an empty instance ends `failed` with the workload
+/// error, its worker survives to run the next job, and `shutdown` drains.
+#[test]
+fn zero_node_jobs_fail_and_the_daemon_still_drains() {
+    let config = ServeConfig {
+        workers: 1,
+        queue_cap: 8,
+        ..ServeConfig::default()
+    };
+    let path = socket_path();
+    let daemon = Daemon::bind(&path, config).expect("bind");
+    let handle = std::thread::spawn(move || daemon.run().expect("daemon run"));
+
+    let mut c = Client::connect(&path).expect("connect");
+    for kind in [JobKind::Explore, JobKind::Campaign, JobKind::Bulk] {
+        let id = c
+            .submit(&spec(kind, "mis:1", "path", 0, 1))
+            .expect("submit accepted");
+        let event = c.wait(id).expect("job terminates");
+        assert_eq!(
+            event.get("event").and_then(Json::as_str),
+            Some("failed"),
+            "{event}"
+        );
+        assert!(event.to_string().contains("needs n"), "{event}");
+    }
+    let good = spec(JobKind::Explore, "mis:1", "path", 4, 1);
+    let (line, verdict) = c.run(&good).expect("the worker survived");
+    assert_eq!(verdict, "PASS");
+    assert_eq!(line, run_job(&good).unwrap().line());
+
+    c.shutdown().expect("shutdown accepted");
+    let accepted = handle.join().expect("daemon thread");
+    assert_eq!(accepted, 4, "daemon lost track of accepted jobs");
+    assert!(!path.exists(), "socket file not removed after drain");
+}
+
 /// Graceful shutdown: accepted jobs all complete (none lost), job IDs stay
 /// unique and dense, and post-shutdown submits get `shutting_down`.
 #[test]

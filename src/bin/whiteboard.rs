@@ -583,8 +583,8 @@ fn cmd_check(o: &Opts) -> Result<(), String> {
     // registry protocol is checkable against its oracle (the per-protocol
     // match arms this command used to carry live in `wb_core::registry`).
     let n = *o.ns.first().unwrap_or(&4);
-    if n > 5 {
-        return Err("check enumerates all graphs; use --n ≤ 5".into());
+    if n == 0 || n > 5 {
+        return Err("check enumerates all graphs; use 1 ≤ --n ≤ 5".into());
     }
 
     struct CheckAllGraphs {

@@ -776,6 +776,29 @@ fn mixed_build_handles_dense_inputs() {
 }
 
 #[test]
+fn zero_nodes_is_an_error_not_a_panic() {
+    for args in [
+        &["explore", "--n", "0"][..],
+        &["explore", "--n", "0", "--json"],
+        &["certify", "--n", "0"],
+        &["campaign", "--n", "0"],
+        &["campaign", "--n", "0", "--json"],
+        &["run", "--n", "0"],
+        &["bulk", "--n", "0"],
+        &["bulk", "--n", "0", "--json"],
+    ] {
+        let (ok, out) = whiteboard(args);
+        assert!(!ok, "{args:?}: {out}");
+        assert!(out.contains("needs n ≥ 1"), "{args:?}: {out}");
+        assert!(!out.contains("panicked"), "{args:?}: {out}");
+    }
+    let (ok, out) = whiteboard(&["check", "--n", "0"]);
+    assert!(!ok, "{out}");
+    assert!(out.contains("1 ≤ --n ≤ 5"), "{out}");
+    assert!(!out.contains("panicked"), "{out}");
+}
+
+#[test]
 fn file_workload_loads_edge_lists() {
     let dir = std::env::temp_dir().join("wb_cli_test");
     std::fs::create_dir_all(&dir).unwrap();
