@@ -75,6 +75,12 @@ impl BuildDegenerate {
     fn degree_bits(n: usize) -> u32 {
         id_bits(n) // degrees are ≤ n−1
     }
+
+    /// The message budget at `n` nodes, or `None` when it exceeds
+    /// `u32::MAX` bits (the registry refuses such a `K`).
+    pub(crate) fn checked_budget_bits(&self, n: usize) -> Option<u32> {
+        powersum::power_sum_vector_bits(n, self.k)?.checked_add(id_bits(n) + Self::degree_bits(n))
+    }
 }
 
 /// Per-node state: `SIMASYNC` nodes never observe, so there is none.
@@ -92,20 +98,9 @@ impl Node for BuildNode {
         let mut w = BitWriter::new();
         write_id(&mut w, view.id, view.n);
         w.write_bits(view.degree() as u64, BuildDegenerate::degree_bits(view.n));
-        let sums = powersum::power_sums(&view.neighbors, self.k);
-        for (idx, s) in sums.iter().enumerate() {
-            let p = idx as u32 + 1;
-            w.write_big(s, powersum::power_sum_field_bits(view.n, p));
-        }
+        powersum::write_power_sums(&mut w, &view.neighbors, view.n, self.k);
         w.finish()
     }
-}
-
-/// One decoded whiteboard tuple during pruning.
-struct Tuple {
-    degree: usize,
-    sums: Vec<BigInt>,
-    alive: bool,
 }
 
 impl Protocol for BuildDegenerate {
@@ -117,7 +112,8 @@ impl Protocol for BuildDegenerate {
     }
 
     fn budget_bits(&self, n: usize) -> u32 {
-        id_bits(n) + Self::degree_bits(n) + powersum::power_sum_vector_bits(n, self.k)
+        self.checked_budget_bits(n)
+            .expect("BUILD's message budget exceeds u32::MAX bits; the registry refuses such K")
     }
 
     fn spawn(&self, _view: &LocalView) -> BuildNode {
@@ -127,86 +123,134 @@ impl Protocol for BuildDegenerate {
     /// Algorithm 1, with the Newton decoder in place of the `O(n^k)` lookup
     /// table (Lemma 2's "unlimited computational power" made practical).
     fn output(&self, n: usize, board: &Whiteboard) -> Self::Output {
-        let mut tuples: Vec<Option<Tuple>> = (0..n).map(|_| None).collect();
+        if powersum::fits_i128(n, self.k) {
+            self.peel::<i128>(n, board)
+        } else {
+            self.peel::<BigInt>(n, board)
+        }
+    }
+}
+
+impl BuildDegenerate {
+    /// Algorithm 1 over one power-sum representation: `i128` when every
+    /// field fits one, [`BigInt`] otherwise (see [`wb_math::powersum`]).
+    fn peel<S: PeelSum>(&self, n: usize, board: &Whiteboard) -> Result<Graph, BuildError> {
+        let k = self.k;
+        // `degree[i]` is `None` for a crashed writer (its single write died
+        // before reaching the board); `sums[i·k..(i+1)·k]` is node i+1's
+        // power-sum vector.
+        let mut degree: Vec<Option<usize>> = vec![None; n];
+        let mut sums: Vec<S> = vec![S::zero(); n * k];
         for entry in board.entries() {
             let mut r = BitReader::new(&entry.msg);
-            let id = read_id(&mut r, n);
-            let degree = r.read_bits(Self::degree_bits(n)) as usize;
-            let sums: Vec<BigInt> = (1..=self.k as u32)
-                .map(|p| r.read_big(powersum::power_sum_field_bits(n, p)))
-                .collect();
-            tuples[id as usize - 1] = Some(Tuple {
-                degree,
-                sums,
-                alive: true,
-            });
+            let i = read_id(&mut r, n) as usize - 1;
+            degree[i] = Some(r.read_bits(Self::degree_bits(n)) as usize);
+            S::read(&mut r, n, &mut sums[i * k..(i + 1) * k]);
         }
-        // A slot left `None` is a crashed writer (its single write died
-        // before reaching the board). The peel below runs over the present
-        // tuples only; a crashed node's incident edges are still recovered
-        // from its surviving neighbors' power sums, so the reconstruction
-        // degrades to a graph between `g[survivors]` and `g` — or to a
-        // robust rejection when the surviving evidence no longer peels.
-        let present = tuples.iter().filter(|t| t.is_some()).count();
+        // The peel runs over the present tuples only; a crashed node's
+        // incident edges are still recovered from its surviving neighbors'
+        // power sums, so the reconstruction degrades to a graph between
+        // `g[survivors]` and `g` — or to a robust rejection when the
+        // surviving evidence no longer peels.
+        let mut remaining = degree.iter().flatten().count();
 
         let decoder = NewtonDecoder::new(n);
-        let mut g = Graph::empty(n);
+        let mut alive = vec![true; n];
+        let mut edges: Vec<(NodeId, NodeId)> = Vec::new();
         // Worklist of candidate low-degree nodes; stale entries are re-checked
         // on pop, so pushing duplicates is harmless.
         let mut stack: Vec<usize> = (0..n)
-            .filter(|&i| tuples[i].as_ref().is_some_and(|t| t.degree <= self.k))
+            .filter(|&i| degree[i].is_some_and(|d| d <= k))
             .collect();
-        let mut remaining = present;
         while remaining > 0 {
             let x = loop {
                 match stack.pop() {
-                    Some(i)
-                        if tuples[i]
-                            .as_ref()
-                            .is_some_and(|t| t.alive && t.degree <= self.k) =>
-                    {
-                        break i
-                    }
+                    Some(i) if alive[i] && degree[i].is_some_and(|d| d <= k) => break i,
                     Some(_) => continue,
                     None => return Err(BuildError::NotKDegenerate),
                 }
             };
             let id_x = x as NodeId + 1;
-            let (degree_x, sums_x) = {
-                let t = tuples[x].as_ref().expect("worklist holds present nodes");
-                (t.degree, t.sums.clone())
-            };
-            let neighbors = decoder
-                .decode(&sums_x, degree_x)
+            let degree_x = degree[x].expect("worklist holds present nodes");
+            let neighbors = S::decode(&decoder, &sums[x * k..(x + 1) * k], degree_x)
                 .ok_or(BuildError::Undecodable { node: id_x })?;
             for &u in &neighbors {
                 let ui = u as usize - 1;
                 if u == id_x {
                     return Err(BuildError::Undecodable { node: id_x });
                 }
-                let Some(tu) = tuples[ui].as_mut() else {
+                let Some(du) = degree[ui].as_mut() else {
                     // The neighbor's write died: the edge survives in x's
                     // sums, but there is no tuple left to peel it from.
-                    g.add_edge(id_x, u);
+                    edges.push((id_x, u));
                     continue;
                 };
-                if !tu.alive || tu.degree == 0 {
+                if !alive[ui] || *du == 0 {
                     return Err(BuildError::Undecodable { node: id_x });
                 }
-                g.add_edge(id_x, u);
-                tu.degree -= 1;
-                powersum::remove_neighbor(&mut tu.sums, id_x);
-                if tu.degree <= self.k {
+                edges.push((id_x, u));
+                *du -= 1;
+                S::remove_neighbor(&mut sums[ui * k..(ui + 1) * k], id_x);
+                if *du <= k {
                     stack.push(ui);
                 }
             }
-            tuples[x]
-                .as_mut()
-                .expect("worklist holds present nodes")
-                .alive = false;
+            alive[x] = false;
             remaining -= 1;
         }
-        Ok(g)
+        Ok(Graph::from_edges(n, &edges))
+    }
+}
+
+/// The power-sum arithmetic [`BuildDegenerate::peel`] needs, for the two
+/// widths [`wb_math::powersum`] supports.
+trait PeelSum: Clone {
+    fn zero() -> Self;
+    /// Read one node's `out.len()` power-sum fields.
+    fn read(r: &mut BitReader<'_>, n: usize, out: &mut [Self]);
+    /// Subtract `id`'s contribution from a power-sum vector.
+    fn remove_neighbor(sums: &mut [Self], id: NodeId);
+    fn decode(decoder: &NewtonDecoder, sums: &[Self], degree: usize) -> Option<Vec<u32>>;
+}
+
+impl PeelSum for i128 {
+    fn zero() -> Self {
+        0
+    }
+
+    fn read(r: &mut BitReader<'_>, n: usize, out: &mut [Self]) {
+        powersum::read_power_sums_i128(r, n, out);
+    }
+
+    fn remove_neighbor(sums: &mut [Self], id: NodeId) {
+        // Cannot overflow: `powersum::fits_i128` bounds every running sum.
+        let mut pw = 1i128;
+        for s in sums {
+            pw *= id as i128;
+            *s -= pw;
+        }
+    }
+
+    fn decode(decoder: &NewtonDecoder, sums: &[Self], degree: usize) -> Option<Vec<u32>> {
+        decoder.decode_i128(sums, degree)
+    }
+}
+
+impl PeelSum for BigInt {
+    fn zero() -> Self {
+        BigInt::zero()
+    }
+
+    fn read(r: &mut BitReader<'_>, n: usize, out: &mut [Self]) {
+        powersum::read_power_sums(r, n, out);
+    }
+
+    fn remove_neighbor(sums: &mut [Self], id: NodeId) {
+        powersum::remove_neighbor(sums, id);
+    }
+
+    fn decode(decoder: &NewtonDecoder, sums: &[Self], degree: usize) -> Option<Vec<u32>> {
+        decoder.decode(sums, degree)
     }
 }
 
@@ -215,7 +259,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use wb_graph::generators;
+    use wb_graph::{checks, generators};
     use wb_runtime::exhaustive::{assert_explored, ExploreConfig};
     use wb_runtime::{run, MinIdAdversary, Outcome, RandomAdversary};
 
@@ -333,6 +377,161 @@ mod tests {
     fn single_node_and_empty_graphs() {
         reconstructs(1, &Graph::empty(1), 0);
         reconstructs(2, &Graph::empty(7), 0);
+    }
+
+    /// The fixed-width and BigInt referees must return the same
+    /// `Result<Graph, BuildError>` on the same board; returns it.
+    fn assert_referees_agree(
+        p: &BuildDegenerate,
+        n: usize,
+        board: &Whiteboard,
+    ) -> Result<Graph, BuildError> {
+        assert!(powersum::fits_i128(n, p.k()));
+        let fixed = p.peel::<i128>(n, board);
+        assert_eq!(fixed, p.peel::<BigInt>(n, board), "k = {}, n = {n}", p.k());
+        fixed
+    }
+
+    /// A board of `(id, degree, power sums of nbrs)` rows, encoded with
+    /// `power_sums` + `write_big` independently of the protocol's writer.
+    fn forge(n: usize, k: usize, rows: &[(NodeId, u64, Vec<u32>)]) -> Whiteboard {
+        Whiteboard::from_messages(rows.iter().map(|(id, degree, nbrs)| {
+            let mut w = BitWriter::new();
+            w.write_bits(*id as u64, id_bits(n));
+            w.write_bits(*degree, id_bits(n));
+            for (idx, s) in powersum::power_sums(nbrs, k).iter().enumerate() {
+                w.write_big(s, powersum::power_sum_field_bits(n, idx as u32 + 1));
+            }
+            (*id, w.finish())
+        }))
+    }
+
+    #[test]
+    fn fixed_width_referee_matches_bigint_on_honest_and_crashed_boards() {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(37);
+        // k = 1..=5, plus two cases at the top of the fixed range (widest
+        // fields of 126 and 120 bits), where ID^p passes 2^100.
+        for (n, k) in (1..=5).map(|k| (40, k)).chain([(100, 17), (250, 14)]) {
+            for trial in 0..6u64 {
+                // In-class inputs, and (k+1)-degenerate ones the protocol
+                // must reject.
+                let g = generators::k_degenerate(
+                    n,
+                    k + (trial % 3 == 2) as usize,
+                    trial % 2 == 0,
+                    &mut rng,
+                );
+                let p = BuildDegenerate::new(k);
+                let report = run(&p, &g, &mut RandomAdversary::new(trial));
+                let verdict = if checks::degeneracy(&g).0 <= k {
+                    Ok(g.clone())
+                } else {
+                    Err(BuildError::NotKDegenerate)
+                };
+                assert_eq!(assert_referees_agree(&p, g.n(), &report.board), verdict);
+                let rows: Vec<(NodeId, BitVec)> = report
+                    .board
+                    .entries()
+                    .iter()
+                    .map(|e| (e.writer, e.msg.clone()))
+                    .collect();
+                for crash_share in [0.05, 0.3, 0.7] {
+                    let survivors: Vec<_> = rows
+                        .iter()
+                        .filter(|_| !rng.gen_bool(crash_share))
+                        .cloned()
+                        .collect();
+                    let mut wrote = vec![false; g.n() + 1];
+                    for (v, _) in &survivors {
+                        wrote[*v as usize] = true;
+                    }
+                    let board = Whiteboard::from_messages(survivors);
+                    if let Ok(h) = assert_referees_agree(&p, g.n(), &board) {
+                        // Each survivor is peeled with its crashed neighbors
+                        // still in its sums: only edges between two crashed
+                        // writers are lost.
+                        let kept: Vec<_> = g
+                            .edges()
+                            .filter(|&(u, v)| wrote[u as usize] || wrote[v as usize])
+                            .collect();
+                        assert_eq!(h, Graph::from_edges(g.n(), &kept));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fixed_width_referee_matches_bigint_on_forged_boards() {
+        use rand::Rng;
+        // The forged boards of the failure-injection suite.
+        for (n, k, rows) in [
+            (2, 1, vec![(1, 1, vec![2]), (2, 0, vec![])]),
+            (2, 1, vec![(1, 1, vec![1]), (2, 0, vec![])]),
+            (3, 2, vec![(1, 2, vec![2]), (2, 0, vec![]), (3, 0, vec![])]),
+            (
+                3,
+                1,
+                vec![(1, 1, vec![2]), (2, 1, vec![3]), (3, 1, vec![1])],
+            ),
+        ] {
+            let verdict = assert_referees_agree(&BuildDegenerate::new(k), n, &forge(n, k, &rows));
+            assert!(verdict.is_err(), "{verdict:?}");
+        }
+        // Random forgeries: claimed degrees and neighbor sets that need not
+        // agree (self-claims, asymmetric rows, sums driven negative by the
+        // peel), some rows missing.
+        let mut rng = StdRng::seed_from_u64(43);
+        for _ in 0..3000 {
+            let n = rng.gen_range(2..=7usize);
+            let k = rng.gen_range(1..=3usize);
+            let mut rows: Vec<(NodeId, u64, Vec<u32>)> = Vec::new();
+            for id in 1..=n as NodeId {
+                if rng.gen_bool(0.1) {
+                    continue;
+                }
+                let mut nbrs: Vec<u32> = (1..=n as u32).filter(|_| rng.gen_bool(0.35)).collect();
+                nbrs.truncate(k + 1);
+                let degree = if rng.gen_bool(0.8) {
+                    nbrs.len() as u64
+                } else {
+                    rng.gen_range(0..n as u64)
+                };
+                rows.push((id, degree, nbrs));
+            }
+            let _ = assert_referees_agree(&BuildDegenerate::new(k), n, &forge(n, k, &rows));
+        }
+    }
+
+    #[test]
+    fn compose_matches_the_bigint_encoding_across_word_boundaries() {
+        // 22-bit IDs: k = 4 writes fields of 44, 66, 88 and 110 bits on the
+        // fixed path; k = 5 adds a 132-bit field and takes the BigInt path.
+        let n = 3_000_000usize;
+        let top = n as NodeId;
+        for k in [4, 5] {
+            assert_eq!(powersum::fits_i128(n, k), k == 4);
+            for neighbors in [
+                vec![],
+                vec![top],
+                vec![1, top - 1, top],
+                (top - 999..=top).filter(|&u| u != top - 500).collect(),
+            ] {
+                let view = LocalView {
+                    id: top - 500,
+                    n,
+                    neighbors: neighbors.clone(),
+                };
+                let mut w = BitWriter::new();
+                write_id(&mut w, view.id, n);
+                w.write_bits(neighbors.len() as u64, id_bits(n));
+                for (idx, s) in powersum::power_sums(&neighbors, k).iter().enumerate() {
+                    w.write_big(s, powersum::power_sum_field_bits(n, idx as u32 + 1));
+                }
+                assert_eq!(BuildNode { k }.compose(&view), w.finish(), "k = {k}");
+            }
+        }
     }
 
     #[test]

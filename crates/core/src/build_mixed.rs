@@ -40,6 +40,14 @@ impl BuildMixed {
     pub fn k(&self) -> usize {
         self.k
     }
+
+    /// The message budget at `n` nodes, or `None` when it exceeds
+    /// `u32::MAX` bits (the registry refuses such a `K`).
+    pub(crate) fn checked_budget_bits(&self, n: usize) -> Option<u32> {
+        powersum::power_sum_vector_bits(n, self.k)?
+            .checked_add(id_bits(n))?
+            .checked_mul(2)
+    }
 }
 
 /// Stateless SIMASYNC node: writes `(ID, degree, b(N), b(V∖N∖{v}))`.
@@ -57,15 +65,11 @@ impl Node for BuildMixedNode {
         let mut w = BitWriter::new();
         write_id(&mut w, view.id, view.n);
         w.write_bits(view.degree() as u64, id_bits(view.n));
-        let nbr_sums = powersum::power_sums(&view.neighbors, self.k);
+        powersum::write_power_sums(&mut w, &view.neighbors, view.n, self.k);
         let non_neighbors: Vec<NodeId> = (1..=view.n as NodeId)
             .filter(|&u| u != view.id && !view.is_neighbor(u))
             .collect();
-        let co_sums = powersum::power_sums(&non_neighbors, self.k);
-        for (idx, s) in nbr_sums.iter().chain(co_sums.iter()).enumerate() {
-            let p = (idx % self.k) as u32 + 1;
-            w.write_big(s, powersum::power_sum_field_bits(view.n, p));
-        }
+        powersum::write_power_sums(&mut w, &non_neighbors, view.n, self.k);
         w.finish()
     }
 }
@@ -85,7 +89,9 @@ impl Protocol for BuildMixed {
     }
 
     fn budget_bits(&self, n: usize) -> u32 {
-        2 * id_bits(n) + 2 * powersum::power_sum_vector_bits(n, self.k)
+        self.checked_budget_bits(n).expect(
+            "BUILD-MIXED's message budget exceeds u32::MAX bits; the registry refuses such K",
+        )
     }
 
     fn spawn(&self, _view: &LocalView) -> BuildMixedNode {
@@ -98,12 +104,10 @@ impl Protocol for BuildMixed {
             let mut r = BitReader::new(&entry.msg);
             let id = read_id(&mut r, n);
             let degree = r.read_bits(id_bits(n)) as usize;
-            let nbr_sums: Vec<BigInt> = (1..=self.k as u32)
-                .map(|p| r.read_big(powersum::power_sum_field_bits(n, p)))
-                .collect();
-            let co_sums: Vec<BigInt> = (1..=self.k as u32)
-                .map(|p| r.read_big(powersum::power_sum_field_bits(n, p)))
-                .collect();
+            let mut nbr_sums = vec![BigInt::zero(); self.k];
+            powersum::read_power_sums(&mut r, n, &mut nbr_sums);
+            let mut co_sums = vec![BigInt::zero(); self.k];
+            powersum::read_power_sums(&mut r, n, &mut co_sums);
             tuples[id as usize - 1] = Some(MixedTuple {
                 degree,
                 nbr_sums,

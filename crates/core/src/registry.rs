@@ -306,6 +306,28 @@ fn unknown(kind: &str) -> String {
     format!("unknown protocol '{kind}' (see `whiteboard list`)")
 }
 
+/// Refuse a `build:K` or `build-mixed:K` whose messages at `n` nodes would
+/// need more than `u32::MAX` bits, the width of every message budget; every
+/// other spec passes. Without this, a huge `K` aborts the process while
+/// allocating its power sums. Both dispatchers call it first.
+pub fn check_budget(spec: &str, n: usize) -> Result<(), String> {
+    let (kind, arg) = split_spec(spec);
+    let k = arg.unwrap_or(2).max(1) as usize;
+    let budget = match kind {
+        "build" => BuildDegenerate::new(k).checked_budget_bits(n),
+        "build-mixed" => BuildMixed::new(k).checked_budget_bits(n),
+        _ => return Ok(()),
+    };
+    match budget {
+        Some(_) => Ok(()),
+        None => Err(format!(
+            "protocol '{spec}': one message at n = {n} would need more than {} bits; \
+             choose a smaller K",
+            u32::MAX
+        )),
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Oracle binders — ONE definition per protocol, shared by both dispatchers.
 // Each binder precomputes the per-instance reference answer once, then
@@ -617,8 +639,9 @@ fn degree_stats_oracle(
 /// instances and hand the protocol plus its oracle binder to `visitor`.
 ///
 /// `n` only affects instance-dependent defaults (the MIS root is clamped to
-/// `1..=n`, matching the historical CLI behavior).
+/// `1..=n`, matching the historical CLI behavior) and [`check_budget`].
 pub fn dispatch<V: ProtocolVisitor>(spec: &str, n: usize, visitor: V) -> Result<V::Result, String> {
+    check_budget(spec, n)?;
     let (kind, arg) = split_spec(spec);
     let k = arg.unwrap_or(2).max(1) as usize;
     Ok(match kind {
@@ -664,6 +687,7 @@ pub fn dispatch_bulk<V: BulkVisitor>(
     n: usize,
     visitor: V,
 ) -> Result<V::Result, String> {
+    check_budget(spec, n)?;
     let (kind, arg) = split_spec(spec);
     let k = arg.unwrap_or(2).max(1) as usize;
     Ok(match kind {

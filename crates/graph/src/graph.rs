@@ -25,25 +25,33 @@ impl Graph {
         }
     }
 
-    /// Build from an edge list. Duplicate edges are merged; panics on
-    /// self-loops or out-of-range endpoints.
+    /// Build from an edge list in `O(n + m log Δ)`: count each row, fill it,
+    /// then sort and dedup it. Duplicate edges (in either orientation) are
+    /// merged; panics on self-loops or out-of-range endpoints, with the
+    /// messages of [`Self::add_edge`].
     pub fn from_edges(n: usize, edges: &[(NodeId, NodeId)]) -> Self {
-        let mut g = Graph::empty(n);
+        let mut degree = vec![0usize; n];
         for &(u, v) in edges {
-            g.add_edge(u, v);
+            check_edge(n, u, v);
+            degree[u as usize - 1] += 1;
+            degree[v as usize - 1] += 1;
         }
-        g
+        let mut adj: Vec<Vec<NodeId>> = degree.into_iter().map(Vec::with_capacity).collect();
+        for &(u, v) in edges {
+            adj[u as usize - 1].push(v);
+            adj[v as usize - 1].push(u);
+        }
+        for row in &mut adj {
+            row.sort_unstable();
+            row.dedup();
+        }
+        Graph { n, adj }
     }
 
     /// Insert edge `{u, v}` (no-op if already present). Panics on self-loops or
     /// out-of-range endpoints.
     pub fn add_edge(&mut self, u: NodeId, v: NodeId) {
-        assert!(u != v, "self-loop at {u}");
-        assert!(
-            (1..=self.n as NodeId).contains(&u) && (1..=self.n as NodeId).contains(&v),
-            "edge ({u},{v}) out of range 1..={}",
-            self.n
-        );
+        check_edge(self.n, u, v);
         let (ui, vi) = (u as usize - 1, v as usize - 1);
         if let Err(pos) = self.adj[ui].binary_search(&v) {
             self.adj[ui].insert(pos, v);
@@ -192,6 +200,15 @@ impl Graph {
     }
 }
 
+/// Panic unless `{u, v}` is a legal edge of a graph on `1..=n`.
+fn check_edge(n: usize, u: NodeId, v: NodeId) {
+    assert!(u != v, "self-loop at {u}");
+    assert!(
+        (1..=n as NodeId).contains(&u) && (1..=n as NodeId).contains(&v),
+        "edge ({u},{v}) out of range 1..={n}"
+    );
+}
+
 impl fmt::Debug for Graph {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Graph(n={}, m={}, edges=[", self.n, self.m())?;
@@ -312,6 +329,53 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn out_of_range_panics() {
         Graph::empty(3).add_edge(1, 4);
+    }
+
+    #[test]
+    fn from_edges_matches_add_edge() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(41);
+        for _ in 0..200 {
+            let n = rng.gen_range(2..=30u32);
+            let mut edges: Vec<(NodeId, NodeId)> = Vec::new();
+            for _ in 0..rng.gen_range(0..=3 * n) {
+                let u = rng.gen_range(1..=n);
+                let v = rng.gen_range(1..=n);
+                if u != v {
+                    edges.push((u, v));
+                }
+            }
+            // Both orientations of some edges, and repeats of others.
+            let flipped: Vec<_> = edges.iter().step_by(2).map(|&(u, v)| (v, u)).collect();
+            let repeated: Vec<_> = edges.iter().step_by(3).copied().collect();
+            edges.extend(flipped);
+            edges.extend(repeated);
+            let mut g = Graph::empty(n as usize);
+            for &(u, v) in &edges {
+                g.add_edge(u, v);
+            }
+            assert_eq!(Graph::from_edges(n as usize, &edges), g);
+        }
+    }
+
+    #[test]
+    fn from_edges_panics_like_add_edge() {
+        fn message(f: impl FnOnce() + std::panic::UnwindSafe) -> String {
+            *std::panic::catch_unwind(f)
+                .expect_err("must panic")
+                .downcast::<String>()
+                .expect("formatted panic message")
+        }
+        for (u, v) in [(2, 2), (1, 4), (0, 1), (4, 4)] {
+            assert_eq!(
+                message(|| {
+                    Graph::from_edges(3, &[(1, 2), (u, v), (1, 3)]);
+                }),
+                message(|| Graph::empty(3).add_edge(u, v)),
+                "edge ({u},{v})"
+            );
+        }
     }
 
     #[test]

@@ -7,6 +7,20 @@
 //! `k` distinct positive integers determine the set uniquely — so any node of
 //! degree ≤ k can be decoded exactly.
 //!
+//! On the whiteboard, field `p` is [`power_sum_field_bits`]`(n, p)` bits
+//! wide, low 64 bits first. [`write_power_sums`] writes the `k` fields;
+//! [`read_power_sums`] and [`read_power_sums_i128`] read them back.
+//!
+//! **Two widths, one answer.** When the widest field,
+//! `power_sum_field_bits(n, k)`, is at most 127 bits ([`fits_i128`]) every
+//! field fits an `i128`, and so does every running sum Algorithm 1's peel
+//! subtracts from it: a node is subtracted from at most its degree
+//! (`< 2^bits(n)`) times, by at most `n^p` each time, so `|b_p| <
+//! 2^{(p+1)·bits(n)}`. On that path the encoder sums in `u128` and the
+//! referee peels with `i128` subtraction and [`NewtonDecoder::decode_i128`].
+//! Wider fields use heap [`BigInt`]s, which also stay the differential
+//! reference for the fixed path. Both are exact and write the same bits.
+//!
 //! Two decoders are provided:
 //!
 //! - [`NewtonDecoder`] — the production decoder: Newton's identities convert the
@@ -17,6 +31,9 @@
 //!   roots come out in closed form (`O(1)`: exact integer discriminant +
 //!   square root); higher degrees fall back to trial synthetic division over
 //!   the candidates `1..=n` (`O(n·d)` bignum operations). No preprocessing.
+//!   [`NewtonDecoder::decode_i128`] is the same decoder on fixed-width sums:
+//!   checked `i128` arithmetic for `d ≤ 2`, and [`NewtonDecoder::decode`] for
+//!   everything else.
 //! - [`LookupDecoder`] — the paper's literal Lemma 2 construction: a
 //!   precomputed table of all `≤ k`-subsets of `{1..n}` keyed by their power-sum
 //!   vector. `O(n^k)` space, `O(k log n)`-ish lookups; used to cross-validate
@@ -27,6 +44,7 @@
 //! graphs that are not `k`-degenerate (Theorem 2's recognition variant).
 
 use crate::bigint::BigInt;
+use crate::bitio::{BitReader, BitWriter};
 use std::collections::HashMap;
 
 /// Compute the power sums `p = 1..=k` of a set of IDs.
@@ -89,9 +107,76 @@ pub fn power_sum_field_bits(n: usize, p: u32) -> u32 {
     (p + 1) * crate::bits_for(n as u64)
 }
 
-/// Total bits for the `b(x)` vector, `Σ_{p=1..k} bits(n^{p+1})`.
-pub fn power_sum_vector_bits(n: usize, k: usize) -> u32 {
-    (1..=k as u32).map(|p| power_sum_field_bits(n, p)).sum()
+/// Total bits for the `b(x)` vector, `Σ_{p=1..k} bits(n^{p+1})`, or `None`
+/// when that exceeds `u32::MAX` (the width of every message budget).
+///
+/// Exact for every `k`: the closed form `bits(n)·k(k+3)/2` is evaluated in
+/// checked `u128` arithmetic, never on a truncated `k`.
+pub fn power_sum_vector_bits(n: usize, k: usize) -> Option<u32> {
+    let k = k as u128;
+    // Σ_{p=1..k} (p+1) = k(k+3)/2.
+    let fields = k.checked_mul(k + 3)? / 2;
+    u32::try_from(fields.checked_mul(crate::bits_for(n as u64) as u128)?).ok()
+}
+
+/// Widest power-sum field the fixed-width path carries (see the module docs).
+const FIXED_FIELD_BITS: u32 = 127;
+
+/// Whether `k` power sums over `{1..n}` take the fixed-width path: the widest
+/// field, `power_sum_field_bits(n, k)`, is at most 127 bits. Decided on the
+/// full `k`, never a truncated one.
+pub fn fits_i128(n: usize, k: usize) -> bool {
+    (k as u128 + 1) * crate::bits_for(n as u64) as u128 <= FIXED_FIELD_BITS as u128
+}
+
+/// Append the `k` power sums of `ids ⊆ {1..n}` as `k` message fields: field
+/// `p` is `power_sum_field_bits(n, p)` bits wide, low 64 bits first (the
+/// layout of [`BitWriter::write_big`]). Sums in `u128` when [`fits_i128`],
+/// in [`BigInt`]s otherwise; the bits are the same either way.
+pub fn write_power_sums(w: &mut BitWriter, ids: &[u32], n: usize, k: usize) {
+    if !fits_i128(n, k) {
+        for (idx, s) in power_sums(ids, k).iter().enumerate() {
+            w.write_big(s, power_sum_field_bits(n, idx as u32 + 1));
+        }
+        return;
+    }
+    for p in 1..=k as u32 {
+        // Σ ID^p ≤ (n−1)·n^p < 2^{(p+1)·bits(n)} ≤ 2^127: no overflow.
+        let s: u128 = ids.iter().map(|&id| (id as u128).pow(p)).sum();
+        let width = power_sum_field_bits(n, p);
+        assert!(s >> width == 0, "power sum needs more than {width} bits");
+        w.write_bits(s as u64, width.min(64));
+        if width > 64 {
+            w.write_bits((s >> 64) as u64, width - 64);
+        }
+    }
+}
+
+/// Read `out.len()` fields written by [`write_power_sums`] into [`BigInt`]s.
+pub fn read_power_sums(r: &mut BitReader<'_>, n: usize, out: &mut [BigInt]) {
+    for (idx, s) in out.iter_mut().enumerate() {
+        *s = r.read_big(power_sum_field_bits(n, idx as u32 + 1));
+    }
+}
+
+/// Read `out.len()` fields written by [`write_power_sums`] into `i128`s.
+/// Panics unless every field is at most 127 bits wide, which
+/// [`fits_i128`]`(n, out.len())` guarantees.
+pub fn read_power_sums_i128(r: &mut BitReader<'_>, n: usize, out: &mut [i128]) {
+    for (idx, s) in out.iter_mut().enumerate() {
+        let width = power_sum_field_bits(n, idx as u32 + 1);
+        assert!(
+            width <= FIXED_FIELD_BITS,
+            "a {width}-bit field does not fit an i128"
+        );
+        let low = r.read_bits(width.min(64)) as u128;
+        let high = if width > 64 {
+            r.read_bits(width - 64) as u128
+        } else {
+            0
+        };
+        *s = (high << 64 | low) as i128;
+    }
 }
 
 /// Production decoder: Newton's identities + integer root extraction.
@@ -130,6 +215,61 @@ impl NewtonDecoder {
     /// Decoder for ID domain `{1..n}`.
     pub fn new(n: usize) -> Self {
         NewtonDecoder { n }
+    }
+
+    /// The root of `P(x) = x − e₁`, if it is an ID in `1..=n`.
+    fn linear_root(&self, e1: u64) -> Option<Vec<u32>> {
+        (e1 >= 1 && e1 <= self.n as u64).then(|| vec![e1 as u32])
+    }
+
+    /// The roots of `P(x) = x² − s·x + prod`, if they are two distinct IDs in
+    /// `1..=n`.
+    fn quadratic_roots(&self, s: u64, prod: u64) -> Option<Vec<u32>> {
+        // Negative discriminant: complex roots, an invalid image.
+        let disc = ((s as u128) * (s as u128)).checked_sub(4 * prod as u128)?;
+        let sq = isqrt_u128(disc);
+        if sq * sq != disc || sq == 0 || !(s as u128 + sq).is_multiple_of(2) {
+            // Not a perfect square (irrational roots), a double root (IDs
+            // are distinct), or non-integer roots.
+            return None;
+        }
+        let r1 = (s as u128 - sq) / 2;
+        let r2 = (s as u128 + sq) / 2;
+        (r1 >= 1 && r2 <= self.n as u128).then(|| vec![r1 as u32, r2 as u32])
+    }
+
+    /// [`Self::decode`] on fixed-width sums, with the same answer on every
+    /// input.
+    ///
+    /// Degrees `d ≤ 2` run Newton's identities (`e₁ = p₁`, `e₂ = (p₁² −
+    /// p₂)/2`) in checked `i128` arithmetic and extract the roots in closed
+    /// form. Any overflow, every `d ≥ 3`, and every case the closed form does
+    /// not settle go to [`Self::decode`] on [`BigInt`] copies of the sums.
+    pub fn decode_i128(&self, sums: &[i128], degree: usize) -> Option<Vec<u32>> {
+        match degree {
+            0 => return sums.iter().all(|&s| s == 0).then(Vec::new),
+            // e₁ = p₁: a negative or oversized one is no ID either way.
+            1 => return self.linear_root(u64::try_from(sums[0]).ok()?),
+            2 => {
+                // e₂ = (p₁² − p₂)/2 must be an integer (and non-negative,
+                // which the u64 conversion below checks).
+                let twice_e2 = sums[0]
+                    .checked_mul(sums[0])
+                    .and_then(|sq| sq.checked_sub(sums[1]));
+                if let Some(twice_e2) = twice_e2 {
+                    if twice_e2 % 2 != 0 {
+                        return None;
+                    }
+                    if let (Ok(s), Ok(prod)) = (u64::try_from(sums[0]), u64::try_from(twice_e2 / 2))
+                    {
+                        return self.quadratic_roots(s, prod);
+                    }
+                }
+            }
+            _ => {}
+        }
+        let big: Vec<BigInt> = sums.iter().map(|&s| BigInt::from(s)).collect();
+        self.decode(&big, degree)
     }
 
     /// Recover the unique set of `degree` distinct IDs in `1..=n` whose power
@@ -181,28 +321,11 @@ impl NewtonDecoder {
         // scan would produce (non-integer, out-of-range, repeated or
         // missing roots) is reproduced exactly.
         if d == 1 {
-            // P(x) = x − e₁: the single neighbor is e₁ itself.
-            return match e[1].to_u64() {
-                Some(r) if r >= 1 && r <= self.n as u64 => Some(vec![r as u32]),
-                _ => None,
-            };
+            return self.linear_root(e[1].to_u64()?);
         }
         if d == 2 {
             if let (Some(s), Some(prod)) = (e[1].to_u64(), e[2].to_u64()) {
-                // P(x) = x² − s·x + prod, roots distinct positive integers.
-                let disc = match ((s as u128) * (s as u128)).checked_sub(4 * prod as u128) {
-                    Some(disc) => disc,
-                    None => return None, // complex roots: invalid image
-                };
-                let sq = isqrt_u128(disc);
-                if sq * sq != disc || sq == 0 || (s as u128 + sq) % 2 != 0 {
-                    // Not a perfect square (irrational roots), a double root
-                    // (IDs are distinct), or non-integer roots.
-                    return None;
-                }
-                let r1 = (s as u128 - sq) / 2;
-                let r2 = (s as u128 + sq) / 2;
-                return (r1 >= 1 && r2 <= self.n as u128).then(|| vec![r1 as u32, r2 as u32]);
+                return self.quadratic_roots(s, prod);
             }
             // Sums past u64 (gigantic n): fall through to the general scan.
         }
@@ -433,12 +556,26 @@ mod tests {
         }
     }
 
+    /// `decode_i128` must answer exactly what `decode` answers on the same
+    /// values.
+    fn assert_fixed_matches(dec: &NewtonDecoder, sums: &[i128], d: usize) {
+        let big: Vec<BigInt> = sums.iter().map(|&s| BigInt::from(s)).collect();
+        assert_eq!(
+            dec.decode_i128(sums, d),
+            dec.decode(&big, d),
+            "sums {sums:?}, d = {d}"
+        );
+    }
+
     #[test]
     fn closed_form_small_degrees_match_brute_force_exhaustively() {
         // The d ≤ 2 fast paths must agree with an independent brute-force
         // oracle over the first d power sums — on every valid image AND on
         // every ±1 perturbation of it (the decoder, like the scan it
-        // replaces, consults exactly the first d sums).
+        // replaces, consults exactly the first d sums). The fixed-width
+        // entry must answer what `decode` answers on all of them, at every
+        // claimed degree d ≤ 2: that covers d = 0 with a non-zero sum past
+        // index d.
         let n = 12u32;
         let newton = NewtonDecoder::new(n as usize);
         let brute = |sums: &[BigInt], d: usize| -> Option<Vec<u32>> {
@@ -459,29 +596,139 @@ mod tests {
                 _ => unreachable!(),
             }
         };
+        let fixed = |sums: &[BigInt]| -> Vec<i128> {
+            sums.iter()
+                .map(|s| s.to_i128().expect("small sums fit"))
+                .collect()
+        };
+        let mut sets = vec![vec![]];
         for a in 1..=n {
-            for b in a..=n {
-                let set: Vec<u32> = if a == b { vec![a] } else { vec![a, b] };
-                let d = set.len();
-                let sums = power_sums(&set, d);
-                assert_eq!(newton.decode(&sums, d), Some(set.clone()), "{set:?}");
-                for which in 0..d {
-                    for delta in [1i64, -1] {
-                        let mut bad = sums.clone();
-                        if delta == 1 {
-                            bad[which] += &BigInt::one();
-                        } else {
-                            bad[which] -= &BigInt::one();
-                        }
+            sets.push(vec![a]);
+            sets.extend(((a + 1)..=n).map(|b| vec![a, b]));
+        }
+        for set in sets {
+            let d = set.len();
+            let sums = power_sums(&set, 2);
+            assert_eq!(newton.decode(&sums, d), Some(set.clone()), "{set:?}");
+            for claimed in 0..=2 {
+                assert_fixed_matches(&newton, &fixed(&sums), claimed);
+            }
+            for which in 0..2 {
+                for delta in [1i64, -1] {
+                    let mut bad = sums.clone();
+                    bad[which] += &BigInt::from(delta);
+                    if d > 0 {
                         assert_eq!(
                             newton.decode(&bad, d),
                             brute(&bad, d),
                             "{set:?} perturbed sum {which} by {delta}"
                         );
                     }
+                    for claimed in 0..=2 {
+                        assert_fixed_matches(&newton, &fixed(&bad), claimed);
+                    }
                 }
             }
         }
+    }
+
+    #[test]
+    fn fixed_decode_matches_bigint_on_edge_cases() {
+        let dec = NewtonDecoder::new(30);
+        let big = 1i128 << 70;
+        for (sums, d) in [
+            // d = 0 reads every sum, not just the first d.
+            (vec![0, 0], 0),
+            (vec![0, 5], 0),
+            (vec![0, -5], 0),
+            // Negative sums.
+            (vec![-3, 9], 1),
+            (vec![-3, 9], 2),
+            (vec![7, -25], 2),
+            (vec![-1, -1], 2),
+            // e₁ past u64 without overflow: no ID, whatever its low bits.
+            (vec![big, 0], 1),
+            (vec![(1 << 64) + 5, 0], 1),
+            // e₂ past u64: the closed form cannot settle it.
+            (vec![10, -big], 2),
+            // p₁² overflows i128: falls back.
+            (vec![1 << 64, 0], 2),
+            (vec![i128::MAX, i128::MAX], 2),
+            (vec![i128::MIN, i128::MIN], 2),
+            (vec![5, i128::MIN], 2),
+            // d ≥ 3: falls back.
+            (vec![3 + 19 + 22, 9 + 361 + 484, 27 + 6859 + 10648], 3),
+            (vec![3 + 19 + 22, 9 + 361 + 484, 27 + 6859 + 10647], 3),
+            (
+                vec![
+                    1 + 2 + 3 + 4,
+                    1 + 4 + 9 + 16,
+                    1 + 8 + 27 + 64,
+                    1 + 16 + 81 + 256,
+                ],
+                4,
+            ),
+        ] {
+            assert_fixed_matches(&dec, &sums, d);
+        }
+        assert_eq!(
+            dec.decode_i128(&[3 + 19 + 22, 9 + 361 + 484, 27 + 6859 + 10648], 3),
+            Some(vec![3, 19, 22])
+        );
+    }
+
+    #[test]
+    fn vector_bits_closed_form_is_exact_and_checked() {
+        for n in [1usize, 2, 3, 50, 1_000, 100_000, 3_000_000] {
+            for k in 0..=40usize {
+                let sum: u64 = (1..=k as u32)
+                    .map(|p| power_sum_field_bits(n, p) as u64)
+                    .sum();
+                assert_eq!(
+                    power_sum_vector_bits(n, k),
+                    u32::try_from(sum).ok(),
+                    "n={n} k={k}"
+                );
+            }
+        }
+        // Budgets that wrapped a u32 or truncated k are refused.
+        assert_eq!(power_sum_vector_bits(3, 70_000), None);
+        assert_eq!(power_sum_vector_bits(50, (1 << 32) + 1), None);
+        assert_eq!(power_sum_vector_bits(50, usize::MAX), None);
+        assert!(power_sum_vector_bits(100_000, 20_000).is_some());
+    }
+
+    #[test]
+    fn fixed_width_selection_sees_the_whole_k() {
+        // 22-bit IDs: k = 4 has a 110-bit widest field, k = 5 a 132-bit one.
+        assert!(fits_i128(3_000_000, 4));
+        assert!(!fits_i128(3_000_000, 5));
+        assert!(fits_i128(100_000, 6) && !fits_i128(100_000, 7));
+        // k ≡ 1 (mod 2³²) must not pass for k = 1.
+        assert!(!fits_i128(50, (1 << 32) + 1));
+        assert!(!fits_i128(1, usize::MAX));
+    }
+
+    #[test]
+    fn fixed_and_bigint_fields_round_trip_to_the_same_bits() {
+        // Fields crossing a 64-bit word: 22-bit IDs, widths 44, 66, 88, 110.
+        let n = 3_000_000usize;
+        let ids: Vec<u32> = (0..40).map(|i| n as u32 - 7 * i).collect();
+        let mut fixed = BitWriter::new();
+        write_power_sums(&mut fixed, &ids, n, 4);
+        let fixed = fixed.finish();
+        let mut big = BitWriter::new();
+        for (idx, s) in power_sums(&ids, 4).iter().enumerate() {
+            big.write_big(s, power_sum_field_bits(n, idx as u32 + 1));
+        }
+        assert_eq!(fixed, big.finish());
+        let mut small = [0i128; 4];
+        read_power_sums_i128(&mut BitReader::new(&fixed), n, &mut small);
+        let mut wide = vec![BigInt::zero(); 4];
+        read_power_sums(&mut BitReader::new(&fixed), n, &mut wide);
+        let expect: Vec<BigInt> = small.iter().map(|&s| BigInt::from(s)).collect();
+        assert_eq!(wide, expect);
+        assert_eq!(wide, power_sums(&ids, 4));
     }
 
     #[test]
@@ -557,6 +804,23 @@ mod tests {
             if av != bv {
                 prop_assert_ne!(power_sums(&av, k), power_sums(&bv, k));
             }
+        }
+
+        /// Random i128 pairs of every magnitude: the fixed-width entry agrees
+        /// with the BigInt decoder at d ≤ 2.
+        #[test]
+        fn fixed_decode_matches_bigint_on_random_pairs(
+            a in any::<i128>(),
+            b in any::<i128>(),
+            shift_a in 0u32..128,
+            shift_b in 0u32..128,
+            n in 1usize..64,
+            d in 0usize..=2,
+        ) {
+            let sums = [a >> shift_a, b >> shift_b];
+            let big: Vec<BigInt> = sums.iter().map(|&s| BigInt::from(s)).collect();
+            let dec = NewtonDecoder::new(n);
+            prop_assert_eq!(dec.decode_i128(&sums, d), dec.decode(&big, d));
         }
 
         /// Field-width bound of Lemma 1: every p-th power sum of any set fits in

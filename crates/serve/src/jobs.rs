@@ -658,6 +658,22 @@ mod tests {
     }
 
     #[test]
+    fn unrepresentable_build_bounds_are_errors_for_every_kind() {
+        for kind in [JobKind::Explore, JobKind::Campaign, JobKind::Bulk] {
+            for protocol in ["build:4294967297", "build-mixed:4294967297", "build:70000"] {
+                let mut spec = JobSpec::new(kind);
+                spec.protocol = protocol.into();
+                spec.n = 3;
+                let err = run_job(&spec).unwrap_err();
+                assert!(
+                    err.contains("would need more than"),
+                    "{kind:?} {protocol}: {err}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn kind_names_round_trip() {
         for kind in [JobKind::Explore, JobKind::Campaign, JobKind::Bulk] {
             assert_eq!(JobKind::parse(kind.name()).unwrap(), kind);

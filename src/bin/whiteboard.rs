@@ -371,6 +371,7 @@ fn run_one(
     trace: bool,
 ) -> Result<String, String> {
     let n = g.n();
+    registry::check_budget(proto_spec, n)?;
     let (kind, arg) = split_spec(proto_spec);
     let k = arg.unwrap_or(2) as usize;
     macro_rules! drive {

@@ -799,6 +799,67 @@ fn zero_nodes_is_an_error_not_a_panic() {
 }
 
 #[test]
+fn unrepresentable_build_bounds_are_errors_not_aborts() {
+    // K = 2³² + 1 used to abort allocating its power sums (exit 134), and
+    // K = 70 000 at n = 3 wrapped the u32 budget and panicked in bulk.
+    for args in [
+        &[
+            "bulk",
+            "--protocol",
+            "build:4294967297",
+            "--graph-family",
+            "kdeg-lin:2",
+            "--n",
+            "50",
+            "--json",
+        ][..],
+        &["bulk", "--protocol", "build:4294967297", "--n", "50"],
+        &["bulk", "--protocol", "build-mixed:4294967297", "--n", "50"],
+        &[
+            "bulk",
+            "--protocol",
+            "build:70000",
+            "--graph-family",
+            "kdeg-lin:2",
+            "--n",
+            "3",
+        ],
+        &[
+            "explore",
+            "--protocol",
+            "build:4294967297",
+            "--workload",
+            "path",
+            "--n",
+            "3",
+        ],
+        &[
+            "explore",
+            "--protocol",
+            "build-mixed:4294967297",
+            "--workload",
+            "path",
+            "--n",
+            "3",
+            "--json",
+        ],
+        &["run", "--protocol", "build:4294967297", "--n", "5"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_whiteboard"))
+            .args(args)
+            .output()
+            .expect("binary runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        assert!(
+            err.contains("would need more than 4294967295 bits"),
+            "{args:?}: {err}"
+        );
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+    }
+}
+
+#[test]
 fn file_workload_loads_edge_lists() {
     let dir = std::env::temp_dir().join("wb_cli_test");
     std::fs::create_dir_all(&dir).unwrap();
