@@ -4,14 +4,14 @@
 //! A job is an `explore`, `campaign`, or `bulk` run of any registry protocol
 //! on any graph-family instance, and [`run_job`] renders its result as a
 //! **deterministic** JSON report: no timestamps, no wall-clock rates, seeds
-//! as strings, sorted keys. Both the `whiteboard` CLI (`--json` paths) and
-//! the [`crate::daemon`] call this same function, which is what makes the
-//! daemon's reports *byte-identical* to the CLI equivalents — the invariant
-//! the serve test-suite pins.
+//! as strings, sorted keys. Every `whiteboard explore`, `campaign` and
+//! `bulk` invocation, text or `--json`, and the [`crate::daemon`] call this
+//! same function, which is what makes the daemon's reports *byte-identical*
+//! to the CLI equivalents — the invariant the serve test-suite pins.
 //!
 //! Timing is a property of one run on one machine, not of the result, so it
 //! never appears here; callers that want throughput numbers measure around
-//! [`run_job`] and print to stderr (as the CLI does).
+//! [`run_job`] (the CLI prints them in its text reports or to stderr).
 
 use std::collections::BTreeMap;
 
@@ -60,7 +60,9 @@ impl JobKind {
     }
 }
 
-/// Everything needed to run one job. Field defaults mirror the CLI's.
+/// Everything needed to run one job. The `whiteboard` CLI writes its job
+/// flags over [`JobSpec::new`]'s defaults, so a flag left out means the same
+/// on the command line as on the wire.
 #[derive(Clone, Debug, PartialEq)]
 pub struct JobSpec {
     /// Execution tier.
@@ -103,8 +105,9 @@ pub struct JobSpec {
 }
 
 impl JobSpec {
-    /// A spec with the CLI's defaults for `kind` (the campaign tier
-    /// defaults to MIS, the others to BUILD, exactly like the CLI).
+    /// A spec with the defaults for `kind`: the campaign tier runs MIS and
+    /// the others BUILD, explore at n = 6 and the others at n = 100. The CLI
+    /// takes its defaults for these tiers from here.
     pub fn new(kind: JobKind) -> JobSpec {
         JobSpec {
             kind,
@@ -240,21 +243,27 @@ fn make_workload(spec: &JobSpec) -> Result<Graph, String> {
     wb_core::workload::graph_family(&spec.workload, spec.n, spec.seed)
 }
 
-fn run_explore(spec: &JobSpec) -> Result<JobReport, String> {
-    let g = make_workload(spec)?;
+/// The exploration config a spec asks for: its state cap, dedup policy,
+/// fault plan and reduction. Explore jobs and the CLI's certifying walks
+/// (`whiteboard certify`, `explore --certify`) all build theirs here.
+pub fn explore_config(spec: &JobSpec) -> Result<ExploreConfig, String> {
     let faults = parse_faults(spec.faults.as_deref())?;
     let dedup = parse_dedup(&spec.dedup)?;
-    let config = ExploreConfig::default()
+    Ok(ExploreConfig::default()
         .with_max_states(spec.max_states)
         .with_dedup(dedup)
         .with_faults(faults)
-        .with_reduction(parse_reduction(&spec.reduction, dedup)?);
+        .with_reduction(parse_reduction(&spec.reduction, dedup)?))
+}
+
+fn run_explore(spec: &JobSpec) -> Result<JobReport, String> {
+    let g = make_workload(spec)?;
+    let config = explore_config(spec)?;
 
     struct ExploreJob<'a> {
         spec: &'a JobSpec,
         g: &'a Graph,
         config: ExploreConfig,
-        faults: Option<FaultPlan>,
     }
 
     impl ProtocolVisitor for ExploreJob<'_> {
@@ -304,7 +313,7 @@ fn run_explore(spec: &JobSpec) -> Result<JobReport, String> {
             );
             obj.insert("truncated".into(), Json::Bool(report.truncated));
             obj.insert("failures".into(), Json::Num(report.failures.len() as f64));
-            if let Some(plan) = &self.faults {
+            if let Some(plan) = &self.config.faults {
                 obj.insert("faults".into(), Json::Str(plan.spec()));
             }
             // Present only for reduced explorations, mirroring "faults": the
@@ -331,7 +340,7 @@ fn run_explore(spec: &JobSpec) -> Result<JobReport, String> {
                 let off = ExploreConfig::default()
                     .without_dedup()
                     .with_max_states(spec.max_states)
-                    .with_faults(self.faults);
+                    .with_faults(self.config.faults);
                 let naive = explore_with(&protocol, g, &off, &pred);
                 obj.insert(
                     "naive_states".into(),
@@ -362,7 +371,6 @@ fn run_explore(spec: &JobSpec) -> Result<JobReport, String> {
             spec,
             g: &g,
             config,
-            faults,
         },
     )
 }

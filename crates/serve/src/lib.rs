@@ -10,9 +10,10 @@
 //!
 //! - [`jobs`] — the deterministic job layer: a [`jobs::JobSpec`] names a
 //!   tier × protocol × model × graph family, [`jobs::run_job`] executes it
-//!   and returns a timing-free canonical JSON report. The CLI `--json`
-//!   paths call this directly, which is what makes daemon/CLI byte-identity
-//!   a structural property instead of a test assertion.
+//!   and returns a timing-free canonical JSON report. The CLI's `explore`,
+//!   `campaign` and `bulk` commands call this directly and render its
+//!   report, which is what makes daemon/CLI byte-identity a structural
+//!   property instead of a test assertion.
 //! - [`wire`] — the `wb-serve/v1` protocol: strict request parsing with
 //!   stable structured error codes (`bad_json`, `bad_request`, `oversized`,
 //!   `queue_full`, `shutting_down`, `unknown_job`, `job_failed`).

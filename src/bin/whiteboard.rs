@@ -42,21 +42,43 @@
 //! select scenarios from one table. Argument parsing is hand-rolled (no CLI
 //! crate on the approved dependency list) and strict: unknown or duplicate
 //! flags and stray positional arguments are usage errors naming the
-//! offending token. Every run is reproducible from `--seed`, and every
-//! `--json` report is deterministic — timing goes to stderr, never into the
-//! JSON — which is what lets the `serve` daemon promise byte-identical
-//! reports.
+//! offending token. Every run is reproducible from `--seed`.
+//!
+//! `explore`, `campaign` and `bulk` build one [`JobSpec`] per instance and
+//! run it through [`wb_serve::run_job`], the function the `serve` daemon
+//! runs. `--json` prints the job's report line, which is deterministic and
+//! therefore byte-identical to the daemon's report for the same job; the
+//! text form is a rendering of that same report.
+//!
+//! - **Defaults.** Job flags start from [`JobSpec::new`] for the command's
+//!   tier (for `submit`, the `--kind` tier). An absent `--n` therefore means
+//!   n = 6 for `explore` and n = 100 for `campaign` and `bulk`; `check`
+//!   defaults to n = 4, `dot` to n = 20, and `run`, `certify` and `capacity`
+//!   to n = 100. `run`, `bulk`, `certify` and `capacity` sweep a
+//!   comma-separated `--n` list; every other command refuses a list.
+//! - **Rates.** Wall times and the states/sec, trials/sec and rounds/sec
+//!   rates cover the whole job: graph generation, the oracle and, with
+//!   `--compare-naive`, the naive walk. They go to the text report or, with
+//!   `--json`, to stderr, never into the JSON.
+//! - **Witnesses.** A failing `explore` prints how many terminals fail and
+//!   points at `--certify PATH`, whose certificate records replayable
+//!   witness schedules that `verify` re-checks. The report carries no
+//!   schedules: the parallel explorer may attribute a state reached twice
+//!   in one generation to either parent, so its witnesses can differ
+//!   between runs.
 
+use shared_whiteboard::corpus::WitnessFixture;
 use shared_whiteboard::prelude::*;
 use std::process::ExitCode;
+use std::time::Instant;
+use wb_bench::json::Json;
+use wb_core::registry;
+use wb_core::workload::{graph_family, split_spec};
 use wb_math::counting::MessageRegime;
 use wb_reductions::lemma3::{verdict, Family};
 use wb_runtime::run_traced;
-use wb_serve::jobs::{
-    parse_bulk_model, parse_dedup, parse_faults, parse_model, parse_reduction, JobKind, JobSpec,
-};
-use wb_serve::{Client, Daemon, ServeConfig};
-use wb_sim::{run_campaign_with, shrink_schedule, CampaignConfig, CampaignLabels, SamplerKind};
+use wb_serve::jobs::{explore_config, parse_faults, parse_model, JobKind, JobReport, JobSpec};
+use wb_serve::{run_job, Client, Daemon, ServeConfig};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -118,35 +140,19 @@ fn usage() {
 }
 
 struct Opts {
-    protocol: String,
-    protocol_explicit: bool,
-    workload: String,
+    /// The job flags (`--protocol`, `--workload`, `--n`, `--seed`,
+    /// `--model`, `--faults`, ...), written over [`JobSpec::new`]'s
+    /// defaults for this command's tier. Commands outside the job layer
+    /// read the same fields.
+    spec: JobSpec,
+    /// Every `--n` value, for the commands that sweep a list (`run`,
+    /// `bulk`, `certify`, `capacity`); `spec.n` holds the first.
     ns: Vec<usize>,
-    seed: u64,
     adversary: String,
     trace: bool,
-    max_states: u64,
-    par: bool,
-    compare_naive: bool,
-    dedup: String,
-    /// Reduction policy for `explore` / `certify`
-    /// (`off|dpor|symmetry|dpor+symmetry`).
-    reduction: String,
     json: bool,
-    trials: u64,
-    sampler: String,
-    model: String,
     shrink: bool,
     shrink_out: Option<String>,
-    /// Fault-plan spec (`crash:f` / `lossy:f`) for explore / campaign /
-    /// bulk / certify; `None` (and budget 0) = today's fault-free behavior.
-    faults: Option<String>,
-    /// `submit --deadline-ms MS`: per-job wall-clock deadline enforced by
-    /// the daemon.
-    deadline_ms: Option<u64>,
-    /// Sharding grain: board shard size for `bulk`, trial batch for
-    /// `campaign`. `None` = each command's default.
-    batch: Option<usize>,
     /// `explore --certify PATH`: also emit a `wb-cert/v1` line to PATH.
     certify: Option<String>,
     /// `certify --out PATH`: certificate destination (default stdout).
@@ -159,7 +165,7 @@ struct Opts {
     /// `serve --queue-cap Q`: bounded job-queue capacity.
     queue_cap: usize,
     /// `submit --kind explore|campaign|bulk`: which execution tier.
-    kind: Option<String>,
+    kind: Option<JobKind>,
     /// `status --job N`: restrict to one job.
     job: Option<u64>,
     /// `submit --no-wait`: print the job ID instead of waiting for the report.
@@ -170,34 +176,44 @@ struct Opts {
 
 impl Opts {
     fn parse(cmd: &str, args: &[String]) -> Result<Opts, String> {
+        // Job flags are written over the defaults of the command's tier, and
+        // `submit` names its tier with `--kind`: read that flag first.
+        let kind = match cmd {
+            "submit" => args
+                .iter()
+                .position(|a| a == "--kind")
+                .and_then(|i| args.get(i + 1))
+                .filter(|k| !k.starts_with("--"))
+                .map(|k| JobKind::parse(k))
+                .transpose()?,
+            _ => None,
+        };
+        let mut spec = JobSpec::new(match cmd {
+            "campaign" => JobKind::Campaign,
+            "bulk" => JobKind::Bulk,
+            _ => kind.unwrap_or(JobKind::Explore),
+        });
+        // Commands outside the job layer keep their own instance sizes.
+        spec.n = match cmd {
+            "check" => 4,
+            "dot" => 20,
+            "run" | "certify" | "capacity" => 100,
+            _ => spec.n,
+        };
         let mut o = Opts {
-            protocol: "build:1".into(),
-            protocol_explicit: false,
-            workload: "tree".into(),
-            ns: vec![100],
-            seed: 1,
+            ns: vec![spec.n],
+            spec,
             adversary: "random:1".into(),
             trace: false,
-            max_states: 1 << 20,
-            par: false,
-            compare_naive: false,
-            dedup: "canonical".into(),
-            reduction: "off".into(),
             json: false,
-            trials: 10_000,
-            sampler: "uniform".into(),
-            model: "native".into(),
             shrink: false,
             shrink_out: None,
-            faults: None,
-            deadline_ms: None,
-            batch: None,
             certify: None,
             out: None,
             socket: None,
             workers: 2,
             queue_cap: 64,
-            kind: None,
+            kind,
             job: None,
             no_wait: false,
             files: Vec::new(),
@@ -226,49 +242,53 @@ impl Opts {
                 None => Err(format!("{name} expects a value")),
             };
             match a.as_str() {
-                "--protocol" => {
-                    o.protocol = value("--protocol")?;
-                    o.protocol_explicit = true;
-                }
-                "--workload" | "--graph-family" => o.workload = value(a)?,
+                "--protocol" => o.spec.protocol = value("--protocol")?,
+                "--workload" | "--graph-family" => o.spec.workload = value(a)?,
                 "--n" => {
-                    o.ns = value("--n")?
+                    let list = value("--n")?;
+                    o.ns = list
                         .split(',')
                         .map(|s| s.trim().parse::<usize>().map_err(|e| e.to_string()))
                         .collect::<Result<_, _>>()?;
+                    if o.ns.len() > 1 && !matches!(cmd, "run" | "bulk" | "certify" | "capacity") {
+                        return Err(format!(
+                            "{cmd} takes a single --n value, not the list '{list}'"
+                        ));
+                    }
+                    o.spec.n = o.ns[0];
                 }
                 "--seed" => {
-                    o.seed = value("--seed")?
+                    o.spec.seed = value("--seed")?
                         .parse()
                         .map_err(|e: std::num::ParseIntError| e.to_string())?
                 }
                 "--adversary" => o.adversary = value("--adversary")?,
                 "--trace" => o.trace = true,
                 "--max-states" => {
-                    o.max_states = value("--max-states")?
+                    o.spec.max_states = value("--max-states")?
                         .parse()
                         .map_err(|e: std::num::ParseIntError| e.to_string())?
                 }
-                "--par" => o.par = true,
-                "--compare-naive" => o.compare_naive = true,
-                "--dedup" => o.dedup = value("--dedup")?,
-                "--reduction" => o.reduction = value("--reduction")?,
+                "--par" => o.spec.par = true,
+                "--compare-naive" => o.spec.compare_naive = true,
+                "--dedup" => o.spec.dedup = value("--dedup")?,
+                "--reduction" => o.spec.reduction = value("--reduction")?,
                 "--json" => o.json = true,
                 "--trials" => {
-                    o.trials = value("--trials")?
+                    o.spec.trials = value("--trials")?
                         .parse()
                         .map_err(|e: std::num::ParseIntError| e.to_string())?
                 }
-                "--sampler" => o.sampler = value("--sampler")?,
-                "--model" => o.model = value("--model")?,
+                "--sampler" => o.spec.sampler = value("--sampler")?,
+                "--model" => o.spec.model = value("--model")?,
                 "--batch" => {
-                    o.batch = Some(
+                    o.spec.batch = Some(
                         value("--batch")?
                             .parse()
                             .map_err(|e: std::num::ParseIntError| e.to_string())?,
                     )
                 }
-                "--faults" => o.faults = Some(value("--faults")?),
+                "--faults" => o.spec.faults = Some(value("--faults")?),
                 "--deadline-ms" => {
                     let ms: u64 = value("--deadline-ms")?
                         .parse()
@@ -276,7 +296,7 @@ impl Opts {
                     if ms == 0 {
                         return Err("--deadline-ms must be at least 1".into());
                     }
-                    o.deadline_ms = Some(ms);
+                    o.spec.deadline_ms = Some(ms);
                 }
                 "--shrink" => o.shrink = true,
                 "--shrink-out" => {
@@ -302,7 +322,10 @@ impl Opts {
                         return Err("--queue-cap must be at least 1".into());
                     }
                 }
-                "--kind" => o.kind = Some(value("--kind")?),
+                "--kind" => {
+                    // Parsed into `kind` before the loop.
+                    value("--kind")?;
+                }
                 "--job" => {
                     o.job = Some(
                         value("--job")?
@@ -334,19 +357,10 @@ impl Opts {
         Ok(match kind {
             "min" => Box::new(MinIdAdversary),
             "max" => Box::new(MaxIdAdversary),
-            "random" => Box::new(RandomAdversary::new(arg.unwrap_or(self.seed))),
+            "random" => Box::new(RandomAdversary::new(arg.unwrap_or(self.spec.seed))),
             other => return Err(format!("unknown adversary '{other}'")),
         })
     }
-}
-
-use wb_core::registry;
-use wb_core::workload::split_spec;
-
-/// Graph-family selection is shared with the campaign engine and the
-/// experiment binaries — see `wb_core::workload`.
-fn make_workload(spec: &str, n: usize, seed: u64) -> Result<Graph, String> {
-    wb_core::workload::graph_family(spec, n, seed)
 }
 
 /// Unwrap a terminal outcome, or explain why there is none. Protocols whose
@@ -453,6 +467,17 @@ fn run_one(
                 Outcome::Deadlock { awake } => format!("deadlock: {awake:?}"),
             })
         }),
+        "async-bipartite-bfs" => drive!(AsyncBipartiteBfs, |r: RunReport<checks::BfsForest>| {
+            Ok(match r.outcome {
+                Outcome::Success(f) => {
+                    format!(
+                        "ASYNC BIPARTITE BFS: forest ok = {}",
+                        f == checks::bfs_forest(g)
+                    )
+                }
+                Outcome::Deadlock { awake } => format!("deadlock: {awake:?}"),
+            })
+        }),
         "spanning" => drive!(wb_core::SpanningForestSync, |r: RunReport<
             wb_core::SpanningForest,
         >| {
@@ -542,9 +567,9 @@ fn run_one(
 }
 
 fn cmd_dot(o: &Opts) -> Result<(), String> {
-    let n = *o.ns.first().unwrap_or(&20);
-    let g = make_workload(&o.workload, n, o.seed)?;
-    if o.protocol.starts_with("bfs") {
+    let s = &o.spec;
+    let g = graph_family(&s.workload, s.n, s.seed)?;
+    if s.protocol.starts_with("bfs") {
         let forest = checks::bfs_forest(&g);
         print!(
             "{}",
@@ -570,11 +595,12 @@ fn print_trace(rows: &[wb_runtime::TraceRow]) {
 }
 
 fn cmd_run(o: &Opts) -> Result<(), String> {
+    let s = &o.spec;
     for &n in &o.ns {
-        let g = make_workload(&o.workload, n, o.seed)?;
+        let g = graph_family(&s.workload, n, s.seed)?;
         let mut adv = o.make_adversary()?;
-        let line = run_one(&o.protocol, &g, adv.as_mut(), o.trace)?;
-        println!("n={n:>6} {}: {line}", o.workload);
+        let line = run_one(&s.protocol, &g, adv.as_mut(), o.trace)?;
+        println!("n={n:>6} {}: {line}", s.workload);
     }
     Ok(())
 }
@@ -583,7 +609,7 @@ fn cmd_check(o: &Opts) -> Result<(), String> {
     // Exhaustive model checking over all labeled graphs on n nodes: every
     // registry protocol is checkable against its oracle (the per-protocol
     // match arms this command used to carry live in `wb_core::registry`).
-    let n = *o.ns.first().unwrap_or(&4);
+    let n = o.spec.n;
     if n == 0 || n > 5 {
         return Err("check enumerates all graphs; use 1 ≤ --n ≤ 5".into());
     }
@@ -625,79 +651,88 @@ fn cmd_check(o: &Opts) -> Result<(), String> {
     }
 
     let (graphs, states) = registry::dispatch(
-        &o.protocol,
+        &o.spec.protocol,
         n,
         CheckAllGraphs {
             n,
-            spec: o.protocol.clone(),
+            spec: o.spec.protocol.clone(),
         },
     )??;
     println!(
         "exhaustive check passed: protocol {} on all {graphs} graphs (n = {n}), \
          {states} distinct states explored",
-        o.protocol
+        o.spec.protocol
     );
     Ok(())
 }
 
-/// Build the daemon-layer job spec equivalent to this invocation's flags —
-/// `explore --json`, `bulk --json`, and `submit` all go through this, which
-/// is what makes daemon reports byte-identical to CLI reports.
-fn job_spec_from_opts(kind: JobKind, o: &Opts, n: usize) -> JobSpec {
-    let mut spec = JobSpec::new(kind);
-    if o.protocol_explicit {
-        spec.protocol = o.protocol.clone();
-    }
-    spec.workload = o.workload.clone();
-    spec.n = n;
-    spec.seed = o.seed;
-    spec.model = o.model.clone();
-    spec.trials = o.trials;
-    spec.sampler = o.sampler.clone();
-    spec.batch = o.batch;
-    spec.max_states = o.max_states;
-    spec.dedup = o.dedup.clone();
-    spec.reduction = o.reduction.clone();
-    spec.par = o.par;
-    spec.compare_naive = o.compare_naive;
-    spec.faults = o.faults.clone();
-    spec.deadline_ms = o.deadline_ms;
-    spec
+/// Run one job through the job layer the daemon also runs, timed end to
+/// end; the wall time in seconds comes with the report.
+fn run_timed(spec: &JobSpec) -> Result<(JobReport, f64), String> {
+    let start = Instant::now();
+    let report = run_job(spec)?;
+    Ok((report, start.elapsed().as_secs_f64()))
 }
 
-/// Schedule-space exploration of one protocol on one workload graph,
-/// printing the structured report (distinct states, dedup ratio, failures)
-/// or — with `--json` — one machine-readable object (deterministic: timing
-/// goes to stderr, and the daemon emits the identical bytes for the same
-/// job).
-fn cmd_explore(o: &Opts) -> Result<(), String> {
-    use wb_runtime::exhaustive::{
-        explore_parallel_with, explore_with, ExplorationReport, ExploreConfig,
-    };
-    let n = *o.ns.first().unwrap_or(&6);
-    let g = make_workload(&o.workload, n, o.seed)?;
-    let faults = parse_faults(o.faults.as_deref())?;
-    let dedup = parse_dedup(&o.dedup)?;
-    let config = ExploreConfig::default()
-        .with_max_states(o.max_states)
-        .with_dedup(dedup)
-        .with_faults(faults)
-        .with_reduction(parse_reduction(&o.reduction, dedup)?);
+/// `count` per second of `wall`; 0 when no time was measured.
+fn per_sec(count: u64, wall: f64) -> f64 {
+    if wall > 0.0 {
+        count as f64 / wall
+    } else {
+        0.0
+    }
+}
 
+// Field readers for the text renderings. `run_job` writes every field they
+// read, so a missing one is a bug in this file, not bad input.
+
+fn count(report: &Json, key: &str) -> u64 {
+    report
+        .get(key)
+        .and_then(Json::as_f64)
+        .unwrap_or_else(|| panic!("report has no number '{key}'")) as u64
+}
+
+fn text<'a>(report: &'a Json, key: &str) -> &'a str {
+    report
+        .get(key)
+        .and_then(Json::as_str)
+        .unwrap_or_else(|| panic!("report has no string '{key}'"))
+}
+
+fn flag(report: &Json, key: &str) -> bool {
+    matches!(report.get(key), Some(Json::Bool(true)))
+}
+
+/// A list of node IDs (a schedule or the crashed writers); empty if absent.
+fn ids(report: &Json, key: &str) -> Vec<NodeId> {
+    let list = report.get(key).and_then(Json::as_arr).unwrap_or_default();
+    list.iter()
+        .filter_map(Json::as_f64)
+        .map(|v| v as NodeId)
+        .collect()
+}
+
+/// Schedule-space exploration of one protocol on one workload graph: the
+/// job's report line with `--json`, its text rendering otherwise. Exits
+/// nonzero when a terminal configuration violates the oracle.
+fn cmd_explore(o: &Opts) -> Result<(), String> {
+    let s = &o.spec;
     // `--certify PATH`: additionally run the certifying walk and write one
     // `wb-cert/v1` line. Emitted before the report so a FAIL verdict (which
     // makes this command exit nonzero) still leaves the certificate — the
     // failing case is exactly the one worth re-checking independently.
     if let Some(path) = &o.certify {
+        let g = graph_family(&s.workload, s.n, s.seed)?;
         let run = wb_bench::certify::certify_spec(
-            &o.protocol,
+            &s.protocol,
             &g,
             None,
             wb_bench::certify::Provenance {
-                family: Some(&o.workload),
-                seed: Some(o.seed),
+                family: Some(&s.workload),
+                seed: Some(s.seed),
             },
-            &config,
+            &explore_config(s)?,
         )?;
         std::fs::write(path, run.certificate.to_json_line() + "\n")
             .map_err(|e| format!("cannot write {path}: {e}"))?;
@@ -707,159 +742,98 @@ fn cmd_explore(o: &Opts) -> Result<(), String> {
         );
     }
 
-    // `--json` goes through the daemon's job layer: one deterministic
-    // canonical object on stdout (timing on stderr), byte-identical to what
-    // `whiteboard serve` returns for the same spec.
+    let (report, wall) = run_timed(s)?;
     if o.json {
-        let spec = job_spec_from_opts(JobKind::Explore, o, n);
-        let start = std::time::Instant::now();
-        let report = wb_serve::run_job(&spec)?;
-        eprintln!("explore wall: {:.3}s", start.elapsed().as_secs_f64());
+        eprintln!("explore wall: {wall:.3}s");
         println!("{}", report.line());
-        return match report.verdict.as_str() {
-            "FAIL" => Err("exploration found failing terminal(s)".into()),
-            _ => Ok(()),
-        };
+    } else {
+        print_explore(s, &report.json, wall);
     }
+    match report.verdict.as_str() {
+        "FAIL" => Err("exploration found failing terminal(s)".into()),
+        _ => Ok(()),
+    }
+}
 
-    /// `(states, schedules, truncated)` of the dedup-off comparison walk.
-    type NaiveStats = (u64, u64, bool);
-
-    fn print_report<O: std::fmt::Debug>(
-        o: &Opts,
-        g: &Graph,
-        report: &ExplorationReport<O>,
-        wall_sec: f64,
-        naive: Option<NaiveStats>,
-    ) -> Result<(), String> {
-        let verdict = if !report.failures.is_empty() {
-            "FAIL"
-        } else if report.truncated {
-            "INCONCLUSIVE"
-        } else {
-            "PASS"
-        };
-        if let Some((states, schedules, truncated)) = naive {
-            println!(
-                "naive (no dedup): {} states, {} schedules{} — dedup saves {:.1}x",
-                states,
-                schedules,
-                if truncated { " (truncated)" } else { "" },
-                states as f64 / report.distinct_states.max(1) as f64
-            );
-        }
-        println!("exploring {} on {} (n = {})", o.protocol, o.workload, g.n());
-        println!("  distinct states : {}", report.distinct_states);
-        println!("  terminal configs: {}", report.terminals);
+fn print_explore(s: &JobSpec, r: &Json, wall: f64) {
+    let states = count(r, "distinct_states");
+    if s.compare_naive {
+        let naive = count(r, "naive_states");
         println!(
-            "  merged branches : {} (dedup ratio {:.1}x)",
-            report.merged,
-            report.dedup_ratio()
-        );
-        println!("  peak frontier   : {}", report.peak_frontier);
-        println!("  states/sec      : {:.0}", report.states_per_sec(wall_sec));
-        println!(
-            "  truncated       : {}",
-            if report.truncated {
-                "YES (partial result)"
+            "naive (no dedup): {} states, {} schedules{} — dedup saves {:.1}x",
+            naive,
+            count(r, "naive_schedules"),
+            if flag(r, "naive_truncated") {
+                " (truncated)"
             } else {
-                "no"
-            }
+                ""
+            },
+            naive as f64 / states.max(1) as f64
         );
-        if let Some(plan) = &o.faults {
-            println!("  faults          : {plan}");
-        }
-        if let Some(stats) = &report.reduction {
-            println!(
-                "  reduction       : {} (dpor {}, symmetry {}{}) — {} generated, \
-                 {} sleep-skipped, {} orbit terminals, {} re-expansions",
-                stats.policy,
-                if stats.dpor_active { "on" } else { "off" },
-                if stats.symmetry_active { "on" } else { "off" },
-                if stats.symmetry_active {
-                    format!(", |Aut| = {}", stats.group_order)
-                } else {
-                    String::new()
-                },
-                report.generated(),
-                stats.sleep_skipped,
-                stats.orbit_terminals,
-                stats.reexpansions
-            );
-        }
-        for f in report.failures.iter().take(5) {
-            if f.died.is_empty() {
-                println!("  FAIL under write order {:?}: {:?}", f.schedule, f.outcome);
-            } else {
-                println!(
-                    "  FAIL under write order {:?} (died {:?}): {:?}",
-                    f.schedule, f.died, f.outcome
-                );
-            }
-        }
-        match verdict {
-            "PASS" => println!(
-                "  verdict         : PASS (every reachable configuration satisfies the oracle)"
-            ),
-            "INCONCLUSIVE" => println!("  verdict         : INCONCLUSIVE (truncated)"),
-            _ => {}
-        }
-        if report.failures.is_empty() {
-            Ok(())
+    }
+    println!(
+        "exploring {} on {} (n = {})",
+        text(r, "protocol"),
+        text(r, "workload"),
+        count(r, "n")
+    );
+    println!("  distinct states : {states}");
+    println!("  terminal configs: {}", count(r, "terminals"));
+    let merged = count(r, "merged");
+    // Recomputed from the counts: the report's `dedup_ratio` is rounded.
+    let ratio = if states == 0 {
+        1.0
+    } else {
+        (states + merged) as f64 / states as f64
+    };
+    println!("  merged branches : {merged} (dedup ratio {ratio:.1}x)");
+    println!("  peak frontier   : {}", count(r, "peak_frontier"));
+    println!(
+        "  wall            : {wall:.3}s ({:.0} states/sec)",
+        per_sec(states, wall)
+    );
+    println!(
+        "  truncated       : {}",
+        if flag(r, "truncated") {
+            "YES (partial result)"
         } else {
-            Err(format!("{} failing terminal(s)", report.failures.len()))
+            "no"
         }
+    );
+    // The flag as given: the report names only plans that drop writes.
+    if let Some(plan) = &s.faults {
+        println!("  faults          : {plan}");
     }
-
-    /// Registry visitor: explore the resolved protocol against its oracle.
-    struct ExploreOne<'a> {
-        o: &'a Opts,
-        g: &'a Graph,
-        config: ExploreConfig,
-        faults: Option<wb_runtime::FaultPlan>,
-    }
-
-    impl registry::ProtocolVisitor for ExploreOne<'_> {
-        type Result = Result<(), String>;
-        fn visit<P, B>(self, protocol: P, bind: B) -> Self::Result
-        where
-            P: Protocol + Clone + Send + Sync,
-            P::Node: Send + Sync,
-            P::Output: Clone + PartialEq + std::fmt::Debug + Send + Sync,
-            B: for<'g> Fn(&'g Graph) -> registry::BoundOracle<'g, P::Output> + Send + Sync,
-        {
-            let (o, g) = (self.o, self.g);
-            let oracle = bind(g);
-            let pred = |out: &Outcome<P::Output>, died: &[NodeId]| oracle(out, died);
-            let start = std::time::Instant::now();
-            let report = if o.par {
-                explore_parallel_with(&protocol, g, &self.config, &pred)
+    if let Some(stats) = r.get("reduction_stats") {
+        let on_off = |key| if flag(stats, key) { "on" } else { "off" };
+        println!(
+            "  reduction       : {} (dpor {}, symmetry {}{}) — {} generated, \
+             {} sleep-skipped, {} orbit terminals, {} re-expansions",
+            text(r, "reduction"),
+            on_off("dpor_active"),
+            on_off("symmetry_active"),
+            if flag(stats, "symmetry_active") {
+                format!(", |Aut| = {}", count(stats, "group_order"))
             } else {
-                explore_with(&protocol, g, &self.config, &pred)
-            };
-            let wall_sec = start.elapsed().as_secs_f64();
-            let naive = o.compare_naive.then(|| {
-                let off = ExploreConfig::default()
-                    .without_dedup()
-                    .with_max_states(o.max_states)
-                    .with_faults(self.faults);
-                let naive = explore_with(&protocol, g, &off, &pred);
-                (naive.distinct_states, naive.terminals, naive.truncated)
-            });
-            print_report(o, g, &report, wall_sec, naive)
-        }
+                String::new()
+            },
+            count(stats, "generated"),
+            count(stats, "sleep_skipped"),
+            count(stats, "orbit_terminals"),
+            count(stats, "reexpansions")
+        );
     }
-
-    registry::dispatch(
-        &o.protocol,
-        n,
-        ExploreOne {
-            o,
-            g: &g,
-            config,
-            faults,
-        },
-    )?
+    match text(r, "verdict") {
+        "PASS" => println!(
+            "  verdict         : PASS (every reachable configuration satisfies the oracle)"
+        ),
+        "INCONCLUSIVE" => println!("  verdict         : INCONCLUSIVE (truncated)"),
+        _ => println!(
+            "  verdict         : FAIL ({} failing terminal(s); --certify PATH records \
+             replayable witnesses)",
+            count(r, "failures")
+        ),
+    }
 }
 
 /// Emit machine-checkable exploration certificates: one certified
@@ -867,30 +841,26 @@ fn cmd_explore(o: &Opts) -> Result<(), String> {
 /// JSON line to `--out PATH` (or stdout). Run summaries go to stderr so
 /// stdout stays pure JSONL. See `docs/CERTIFICATES.md`.
 fn cmd_certify(o: &Opts) -> Result<(), String> {
-    let model = parse_model(&o.model)?;
-    let dedup = parse_dedup(&o.dedup)?;
-    let config = wb_runtime::ExploreConfig::default()
-        .with_max_states(o.max_states)
-        .with_dedup(dedup)
-        .with_faults(parse_faults(o.faults.as_deref())?)
-        .with_reduction(parse_reduction(&o.reduction, dedup)?);
+    let s = &o.spec;
+    let model = parse_model(&s.model)?;
+    let config = explore_config(s)?;
     let mut lines = String::new();
     for &n in &o.ns {
-        let g = make_workload(&o.workload, n, o.seed)?;
+        let g = graph_family(&s.workload, n, s.seed)?;
         let run = wb_bench::certify::certify_spec(
-            &o.protocol,
+            &s.protocol,
             &g,
             model,
             wb_bench::certify::Provenance {
-                family: Some(&o.workload),
-                seed: Some(o.seed),
+                family: Some(&s.workload),
+                seed: Some(s.seed),
             },
             &config,
         )?;
         eprintln!(
             "certified {} on {} (n = {}, {}): {} states, {} terminals, {} failing",
-            o.protocol,
-            o.workload,
+            s.protocol,
+            s.workload,
             n,
             run.certificate.model,
             run.distinct_states,
@@ -957,229 +927,183 @@ fn cmd_verify(o: &Opts) -> Result<(), String> {
 /// instance: `--trials` seeded random schedules (each independently
 /// replayable from `--seed` + trial index), outcomes classified against the
 /// protocol's oracle, failures kept as witnesses and — with `--shrink` —
-/// delta-debugged to locally minimal schedules. `--shrink-out PATH`
-/// additionally writes the minimal witness as a `tests/corpus`-format
-/// fixture (native model only: corpus replay runs the native protocol).
+/// the first one delta-debugged to a locally minimal schedule.
+/// `--shrink-out PATH` additionally writes the minimal witness as a
+/// `tests/corpus`-format fixture (native model only: corpus replay runs the
+/// native protocol).
 ///
 /// The report (and its `--json` rendering) is deterministic for a fixed
 /// seed — independent of thread count and sharding — so timing goes to
-/// stderr, never into the JSON.
+/// stderr, never into the JSON. A failing campaign still exits 0: finding
+/// the failure is the campaign's job.
 fn cmd_campaign(o: &Opts) -> Result<(), String> {
-    let n = *o.ns.first().unwrap_or(&100);
-    let g = make_workload(&o.workload, n, o.seed)?;
-    let target = parse_model(&o.model)?;
-    let faults = parse_faults(o.faults.as_deref())?;
-    if faults.is_some() && o.shrink {
+    let s = &o.spec;
+    if o.shrink && parse_faults(s.faults.as_deref())?.is_some() {
         return Err(
             "--shrink replays schedules fault-free and cannot minimize faulted witnesses; \
              drop --faults or --shrink/--shrink-out"
                 .into(),
         );
     }
-    // The campaign's default protocol is MIS (cheap per-trial work, genuinely
-    // schedule-dependent outcomes) rather than the global BUILD default.
-    let spec = if o.protocol_explicit {
-        o.protocol.clone()
-    } else {
-        "mis:1".into()
+    let target = parse_model(&s.model)?;
+    if let (Some(_), Some(m)) = (&o.shrink_out, target) {
+        if registry::info(split_spec(&s.protocol).0).is_some_and(|p| p.model != m) {
+            return Err(
+                "--shrink-out requires the protocol's native model (corpus replay \
+                 runs the native protocol)"
+                    .into(),
+            );
+        }
+    }
+
+    let (report, wall) = run_timed(s)?;
+    let witnesses = report
+        .json
+        .get("witnesses")
+        .and_then(Json::as_arr)
+        .unwrap_or_default();
+    let shrunk = match witnesses.first() {
+        Some(w) if o.shrink => {
+            let g = graph_family(&s.workload, s.n, s.seed)?;
+            let step = ShrinkFirstWitness {
+                spec: &s.protocol,
+                g: &g,
+                schedule: &ids(w, "schedule"),
+                target,
+                fixture: o.shrink_out.as_deref(),
+            };
+            Some(registry::dispatch(&s.protocol, s.n, step)??)
+        }
+        _ => None,
     };
-
-    /// Everything `drive` needs beyond the protocol and predicate.
-    struct Ctx<'a> {
-        o: &'a Opts,
-        g: &'a Graph,
-        spec: String,
-        target: Option<Model>,
-        faults: Option<wb_runtime::FaultPlan>,
+    if let (Some(path), None) = (&o.shrink_out, &shrunk) {
+        eprintln!("no failing trials: nothing written to {path}");
     }
 
-    fn drive<P, C>(ctx: &Ctx, p: P, pred: C) -> Result<(), String>
-    where
-        P: Protocol + Sync,
-        P::Output: std::fmt::Debug,
-        C: Fn(&Outcome<P::Output>, &[NodeId]) -> bool + Sync,
-    {
-        match ctx.target {
-            Some(m) if m != p.model() => {
-                if !m.includes(p.model()) {
-                    return Err(format!(
-                        "cannot demote {} protocol '{}' to {m}",
-                        p.model(),
-                        ctx.spec
-                    ));
-                }
-                if ctx.o.shrink_out.is_some() {
-                    return Err(
-                        "--shrink-out requires the protocol's native model (corpus replay \
-                         runs the native protocol)"
-                            .into(),
-                    );
-                }
-                drive_native(ctx, &Promote::new(p, m), pred)
-            }
-            _ => drive_native(ctx, &p, pred),
+    let trials_per_sec = per_sec(count(&report.json, "trials"), wall);
+    if o.json {
+        let mut json = report.json;
+        if let (Json::Obj(map), Some(w)) = (&mut json, &shrunk) {
+            map.insert(
+                "shrunk_schedule".into(),
+                Json::Arr(w.schedule.iter().map(|&v| Json::Num(v as f64)).collect()),
+            );
+            map.insert("shrunk_outcome".into(), Json::Str(w.outcome.clone()));
+            map.insert("shrink_replays".into(), Json::Num(w.replays as f64));
         }
+        println!("{json}");
+        eprintln!("campaign wall: {wall:.3}s ({trials_per_sec:.0} trials/sec)");
+        return Ok(());
     }
-
-    fn drive_native<P, C>(ctx: &Ctx, p: &P, pred: C) -> Result<(), String>
-    where
-        P: Protocol + Sync,
-        P::Output: std::fmt::Debug,
-        C: Fn(&Outcome<P::Output>, &[NodeId]) -> bool + Sync,
-    {
-        use wb_sim::json::Json;
-        let o = ctx.o;
-        let g = ctx.g;
-        let sampler = SamplerKind::parse(&o.sampler)?;
-        let mut config = CampaignConfig::default()
-            .with_trials(o.trials)
-            .with_seed(o.seed)
-            .with_sampler(sampler)
-            .with_faults(ctx.faults);
-        if let Some(batch) = o.batch {
-            config = config.with_batch(batch);
-        }
-        let labels = CampaignLabels {
-            protocol: ctx.spec.clone(),
-            model: p.model().to_string(),
-            family: o.workload.clone(),
-        };
-        let start = std::time::Instant::now();
-        let report = run_campaign_with(p, g, &config, &labels, &pred);
-        let wall_sec = start.elapsed().as_secs_f64();
-        let trials_per_sec = if wall_sec > 0.0 {
-            report.trials as f64 / wall_sec
-        } else {
-            0.0
-        };
-
-        let shrunk = match (o.shrink, report.witnesses.first()) {
-            // Shrinking replays schedules fault-free (the CLI refuses the
-            // combination of --shrink and a live --faults plan up front).
-            (true, Some(w)) => Some(shrink_schedule(
-                p,
-                g,
-                &w.schedule,
-                |outcome| !pred(outcome, &[]),
-                20_000,
-            )?),
-            _ => None,
-        };
-
-        if let Some(path) = &o.shrink_out {
-            if let Some(s) = &shrunk {
-                use shared_whiteboard::corpus::WitnessFixture;
-                // Strict replay of the minimal schedule pins the outcome the
-                // fixture must reproduce.
-                let replayed = run(p, g, &mut ScheduleAdversary::new(s.schedule.clone()));
-                let failure = ScheduleFailure {
-                    schedule: s.schedule.clone(),
-                    died: Vec::new(),
-                    outcome: replayed.outcome,
-                };
-                let fixture =
-                    WitnessFixture::from_failure("campaign-shrunk", &ctx.spec, g, &failure);
-                fixture
-                    .save(std::path::Path::new(path))
-                    .map_err(|e| format!("cannot write {path}: {e}"))?;
-                // Self-check through the corpus replay registry before
-                // telling the user the witness is durable.
-                fixture.replay()?;
-                eprintln!("wrote shrunk witness fixture to {path}");
+    let r = &report.json;
+    println!(
+        "campaign: {} @ {} on {} (n = {})",
+        text(r, "protocol"),
+        text(r, "model"),
+        text(r, "family"),
+        count(r, "n")
+    );
+    println!(
+        "  trials          : {} (sampler {}, seed {})",
+        count(r, "trials"),
+        text(r, "sampler"),
+        text(r, "seed")
+    );
+    if r.get("faults").is_some() {
+        println!("  faults          : {}", text(r, "faults"));
+    }
+    println!(
+        "  passed / failed : {} / {} (deadlocks {})",
+        count(r, "passed"),
+        count(r, "failed"),
+        count(r, "deadlocks")
+    );
+    println!("  distinct outcomes: {}", count(r, "distinct_outcomes"));
+    println!("  wall            : {wall:.3}s ({trials_per_sec:.0} trials/sec)");
+    for w in witnesses.iter().take(3) {
+        let died = ids(w, "died");
+        println!(
+            "  FAIL trial {} (seed {}): write order {:?}{} → {}",
+            count(w, "trial"),
+            text(w, "seed"),
+            ids(w, "schedule"),
+            if died.is_empty() {
+                String::new()
             } else {
-                eprintln!("no failing trials: nothing written to {path}");
-            }
-        }
+                format!(" (died {died:?})")
+            },
+            text(w, "outcome")
+        );
+    }
+    if let Some(w) = &shrunk {
+        println!(
+            "  shrunk witness  : {:?} (len {} → {}, {} replays)",
+            w.schedule,
+            w.original_len,
+            w.schedule.len(),
+            w.replays
+        );
+    }
+    println!("  verdict         : {}", text(r, "verdict"));
+    Ok(())
+}
 
-        if o.json {
-            let mut json = report.to_json();
-            if let (Json::Obj(map), Some(s)) = (&mut json, &shrunk) {
-                map.insert(
-                    "shrunk_schedule".into(),
-                    Json::Arr(s.schedule.iter().map(|&v| Json::Num(v as f64)).collect()),
-                );
-                map.insert("shrunk_outcome".into(), Json::Str(s.outcome.clone()));
-                map.insert("shrink_replays".into(), Json::Num(s.replays as f64));
+/// Registry visitor for `campaign --shrink`: delta-debug a failing schedule
+/// of the resolved protocol, promoted to `target` as the campaign ran it,
+/// and with `fixture` save the minimal witness as a corpus fixture.
+struct ShrinkFirstWitness<'a> {
+    spec: &'a str,
+    g: &'a Graph,
+    schedule: &'a [NodeId],
+    target: Option<Model>,
+    fixture: Option<&'a str>,
+}
+
+impl registry::ProtocolVisitor for ShrinkFirstWitness<'_> {
+    type Result = Result<ShrinkReport, String>;
+    fn visit<P, B>(self, protocol: P, bind: B) -> Self::Result
+    where
+        P: Protocol + Clone + Send + Sync,
+        P::Node: Send + Sync,
+        P::Output: Clone + PartialEq + std::fmt::Debug + Send + Sync,
+        B: for<'g> Fn(&'g Graph) -> registry::BoundOracle<'g, P::Output> + Send + Sync,
+    {
+        let g = self.g;
+        let oracle = bind(g);
+        // Shrinking replays fault-free; `cmd_campaign` refuses a live plan.
+        let fails = |out: &Outcome<P::Output>| !oracle(out, &[]);
+        match self.target {
+            // `run_job` refused demotions, and `cmd_campaign` refused
+            // `--shrink-out` here.
+            Some(m) if m != protocol.model() => {
+                shrink_schedule(&Promote::new(protocol, m), g, self.schedule, fails, 20_000)
             }
-            println!("{json}");
-            eprintln!("campaign wall: {wall_sec:.3}s ({trials_per_sec:.0} trials/sec)");
-        } else {
-            println!(
-                "campaign: {} @ {} on {} (n = {})",
-                ctx.spec,
-                labels.model,
-                o.workload,
-                g.n()
-            );
-            println!(
-                "  trials          : {} (sampler {}, seed {})",
-                report.trials, report.sampler, report.seed
-            );
-            if let Some(plan) = &report.faults {
-                println!("  faults          : {plan}");
-            }
-            println!(
-                "  passed / failed : {} / {} (deadlocks {})",
-                report.passed, report.failed, report.deadlocks
-            );
-            println!("  distinct outcomes: {}", report.distinct_outcomes);
-            println!("  wall            : {wall_sec:.3}s ({trials_per_sec:.0} trials/sec)");
-            for w in report.witnesses.iter().take(3) {
-                if w.died.is_empty() {
-                    println!(
-                        "  FAIL trial {} (seed {}): write order {:?} → {}",
-                        w.trial, w.seed, w.schedule, w.outcome
-                    );
-                } else {
-                    println!(
-                        "  FAIL trial {} (seed {}): write order {:?} (died {:?}) → {}",
-                        w.trial, w.seed, w.schedule, w.died, w.outcome
-                    );
+            _ => {
+                let shrunk = shrink_schedule(&protocol, g, self.schedule, fails, 20_000)?;
+                if let Some(path) = self.fixture {
+                    // Strict replay of the minimal schedule pins the outcome
+                    // the fixture must reproduce.
+                    let schedule = shrunk.schedule.clone();
+                    let replayed = run(&protocol, g, &mut ScheduleAdversary::new(schedule.clone()));
+                    let failure = ScheduleFailure {
+                        schedule,
+                        died: Vec::new(),
+                        outcome: replayed.outcome,
+                    };
+                    let fixture =
+                        WitnessFixture::from_failure("campaign-shrunk", self.spec, g, &failure);
+                    fixture
+                        .save(std::path::Path::new(path))
+                        .map_err(|e| format!("cannot write {path}: {e}"))?;
+                    // Self-check through the corpus replay registry before
+                    // telling the user the witness is durable.
+                    fixture.replay()?;
+                    eprintln!("wrote shrunk witness fixture to {path}");
                 }
+                Ok(shrunk)
             }
-            if let Some(s) = &shrunk {
-                println!(
-                    "  shrunk witness  : {:?} (len {} → {}, {} replays)",
-                    s.schedule,
-                    s.original_len,
-                    s.schedule.len(),
-                    s.replays
-                );
-            }
-            println!("  verdict         : {}", report.verdict());
-        }
-        Ok(())
-    }
-
-    /// Registry visitor: run the campaign with the resolved protocol and
-    /// its instance-bound oracle.
-    struct CampaignOne<'a> {
-        ctx: Ctx<'a>,
-    }
-
-    impl registry::ProtocolVisitor for CampaignOne<'_> {
-        type Result = Result<(), String>;
-        fn visit<P, B>(self, protocol: P, bind: B) -> Self::Result
-        where
-            P: Protocol + Clone + Send + Sync,
-            P::Node: Send + Sync,
-            P::Output: Clone + PartialEq + std::fmt::Debug + Send + Sync,
-            B: for<'g> Fn(&'g Graph) -> registry::BoundOracle<'g, P::Output> + Send + Sync,
-        {
-            let oracle = bind(self.ctx.g);
-            let pred = move |out: &Outcome<P::Output>, died: &[NodeId]| oracle(out, died);
-            drive(&self.ctx, protocol, pred)
         }
     }
-
-    let ctx = Ctx {
-        o,
-        g: &g,
-        spec: spec.clone(),
-        target,
-        faults,
-    };
-    registry::dispatch(&spec, n, CampaignOne { ctx })?
 }
 
 /// One columnar bulk execution (third tier): a seeded random schedule of a
@@ -1189,118 +1113,51 @@ fn cmd_campaign(o: &Opts) -> Result<(), String> {
 /// oracle, with rounds/sec and board bytes reported. Sweeps every `--n`
 /// value like `run` does.
 fn cmd_bulk(o: &Opts) -> Result<(), String> {
-    use wb_runtime::bulk::{bulk_model, run_bulk, run_bulk_crashed, shuffled_schedule, BulkConfig};
-
-    struct BulkOne<'a> {
-        o: &'a Opts,
-        g: &'a Graph,
-        target: Option<Model>,
-        /// Crash-stop only; lossy plans are refused before dispatch.
-        faults: Option<wb_runtime::FaultPlan>,
-    }
-
-    impl registry::BulkVisitor for BulkOne<'_> {
-        type Result = Result<(), String>;
-        fn visit<P, B>(self, protocol: P, bind: B) -> Self::Result
-        where
-            P: wb_runtime::BulkProtocol + Send + Sync,
-            P::Output: Clone + PartialEq + std::fmt::Debug + Send + Sync,
-            B: for<'g> Fn(&'g Graph) -> registry::BoundOracle<'g, P::Output> + Send + Sync,
-        {
-            let (o, g) = (self.o, self.g);
-            let n = g.n();
-            let model = bulk_model(protocol.model(), self.target)
-                .map_err(|e| format!("protocol '{}': {e}", o.protocol))?;
-            let schedule = shuffled_schedule(n, o.seed);
-            let config = BulkConfig::default().with_batch(o.batch.unwrap_or(4096));
-            let start = std::time::Instant::now();
-            let report = match self.faults {
-                Some(plan) => {
-                    let victims = plan.sample_victims(n, o.seed)?;
-                    run_bulk_crashed(&protocol, g, &schedule, self.target, &config, &victims)
-                }
-                None => run_bulk(&protocol, g, &schedule, self.target, &config),
-            }
-            .expect("bulk model pre-validated");
-            let wall_sec = start.elapsed().as_secs_f64();
-            let rounds_per_sec = if wall_sec > 0.0 {
-                report.rounds as f64 / wall_sec
-            } else {
-                0.0
-            };
-            let oracle = bind(g);
-            let pass = oracle(&report.outcome, &report.crashed);
-            let verdict = if pass { "PASS" } else { "FAIL" };
-            println!("bulk: {} @ {model} on {} (n = {n})", o.protocol, o.workload);
-            if let Some(plan) = self.faults {
+    for &n in &o.ns {
+        let (report, wall) = run_timed(&JobSpec {
+            n,
+            ..o.spec.clone()
+        })?;
+        if o.json {
+            eprintln!("bulk wall: {wall:.3}s");
+            println!("{}", report.line());
+        } else {
+            let r = &report.json;
+            let rounds = count(r, "rounds");
+            println!(
+                "bulk: {} @ {} on {} (n = {})",
+                text(r, "protocol"),
+                text(r, "model"),
+                text(r, "family"),
+                count(r, "n")
+            );
+            if r.get("faults").is_some() {
                 println!(
                     "  faults          : {} (died {:?})",
-                    plan.spec(),
-                    report.crashed
+                    text(r, "faults"),
+                    ids(r, "died")
                 );
             }
             println!(
-                "  rounds          : {} in {wall_sec:.3}s ({rounds_per_sec:.0} rounds/sec)",
-                report.rounds
+                "  rounds          : {rounds} in {wall:.3}s ({:.0} rounds/sec)",
+                per_sec(rounds, wall)
             );
             println!(
                 "  board           : {} bytes payload + {} bytes index, {} shards",
-                report.board.payload_bytes(),
-                report.board.index_bytes(),
-                report.board.shard_count()
+                count(r, "board_payload_bytes"),
+                count(r, "board_index_bytes"),
+                count(r, "shards")
             );
             println!(
-                "  messages        : {} bits total, {} bits/msg max (budget {})",
-                report.total_bits(),
-                report.max_message_bits(),
-                protocol.budget_bits(n)
+                "  messages        : {} bits total, {} bits/msg max",
+                count(r, "total_bits"),
+                count(r, "max_message_bits")
             );
-            println!("  verdict         : {verdict}");
-            if pass {
-                Ok(())
-            } else {
-                Err("bulk outcome violated the oracle".into())
-            }
+            println!("  verdict         : {}", text(r, "verdict"));
         }
-    }
-
-    let target = parse_bulk_model(&o.model)?;
-    let faults = parse_faults(o.faults.as_deref())?;
-    if let Some(plan) = &faults {
-        if plan.kind() == wb_runtime::FaultKind::Lossy {
-            return Err(format!(
-                "the bulk tier executes crash-stop fault plans only, not {} (lossy \
-                 suppression is an adaptive mid-run adversary; use `explore` or `campaign`)",
-                plan.spec()
-            ));
+        if report.verdict == "FAIL" {
+            return Err("bulk outcome violated the oracle".into());
         }
-    }
-    for &n in &o.ns {
-        // `--json` delegates to the daemon's job layer: deterministic
-        // canonical object on stdout, timing on stderr, byte-identical to
-        // what `whiteboard serve` returns for the same spec.
-        if o.json {
-            let spec = job_spec_from_opts(JobKind::Bulk, o, n);
-            let start = std::time::Instant::now();
-            let report = wb_serve::run_job(&spec)?;
-            eprintln!("bulk wall: {:.3}s", start.elapsed().as_secs_f64());
-            println!("{}", report.line());
-            if report.verdict == "FAIL" {
-                return Err("bulk outcome violated the oracle".into());
-            }
-            continue;
-        }
-        let g = make_workload(&o.workload, n, o.seed)?;
-        registry::dispatch_bulk(
-            &o.protocol,
-            n,
-            BulkOne {
-                o,
-                g: &g,
-                target,
-                faults,
-            },
-        )??;
     }
     Ok(())
 }
@@ -1345,20 +1202,16 @@ fn cmd_serve(o: &Opts) -> Result<(), String> {
 /// prints the report line — byte-identical to the corresponding `--json`
 /// command; `--no-wait` prints `{"job":N}` immediately instead.
 fn cmd_submit(o: &Opts) -> Result<(), String> {
-    let kind_name = o
-        .kind
-        .as_deref()
-        .ok_or("submit requires --kind explore|campaign|bulk")?;
-    let kind = JobKind::parse(kind_name)?;
-    let n = *o.ns.first().unwrap_or(&100);
-    let spec = job_spec_from_opts(kind, o, n);
+    if o.kind.is_none() {
+        return Err("submit requires --kind explore|campaign|bulk".into());
+    }
     let mut client = connect(o, "submit")?;
     if o.no_wait {
-        let id = client.submit(&spec).map_err(|e| e.to_string())?;
+        let id = client.submit(&o.spec).map_err(|e| e.to_string())?;
         println!("{{\"job\":{id}}}");
         return Ok(());
     }
-    let (line, verdict) = client.run(&spec).map_err(|e| e.to_string())?;
+    let (line, verdict) = client.run(&o.spec).map_err(|e| e.to_string())?;
     println!("{line}");
     if verdict == "FAIL" {
         Err("job completed with verdict FAIL".into())

@@ -951,6 +951,307 @@ fn strict_parsing_catches_stray_and_malformed_arguments() {
     let (ok, out) = whiteboard(&["run", "extra-word"]);
     assert!(!ok);
     assert!(out.contains("unexpected argument 'extra-word'"), "{out}");
+    // A command that runs one instance refuses an `--n` list instead of
+    // running its first value.
+    let (ok, out) = whiteboard(&[
+        "explore",
+        "--protocol",
+        "mis:1",
+        "--workload",
+        "path",
+        "--n",
+        "4,5",
+        "--json",
+    ]);
+    assert!(!ok, "{out}");
+    assert!(out.contains("takes a single --n value"), "{out}");
+    assert!(!out.contains("\"schema\""), "{out}");
+    for args in [
+        &["campaign", "--n", "4,5"][..],
+        &["check", "--n", "3,4"],
+        &["dot", "--n", "4,5"],
+        &["submit", "--kind", "explore", "--n", "4,5"],
+    ] {
+        let (ok, out) = whiteboard(args);
+        assert!(!ok, "{args:?}: {out}");
+        assert!(out.contains("takes a single --n value"), "{args:?}: {out}");
+    }
+}
+
+#[test]
+fn absent_n_takes_each_command_default() {
+    // `check` enumerates all graphs at n = 4 by default.
+    let (ok, out) = whiteboard(&["check", "--protocol", "mis:1"]);
+    assert!(ok, "{out}");
+    assert!(out.contains("(n = 4)"), "{out}");
+    // `explore` takes the job layer's default, so the CLI and a wire job
+    // that leaves out `n` print the same report.
+    let (ok, out) = whiteboard_stdout(&[
+        "explore",
+        "--protocol",
+        "mis:1",
+        "--workload",
+        "path",
+        "--json",
+    ]);
+    assert!(ok, "{out}");
+    let spec = wb_serve::JobSpec {
+        protocol: "mis:1".into(),
+        workload: "path".into(),
+        ..wb_serve::JobSpec::new(wb_serve::JobKind::Explore)
+    };
+    let direct = wb_serve::run_job(&spec).expect("job runs").line();
+    assert_eq!(out, direct + "\n");
+}
+
+#[test]
+fn run_accepts_every_registry_protocol() {
+    // `run` keeps its own protocol table; it must know every name the
+    // registry lists.
+    for p in wb_core::registry::PROTOCOLS {
+        let (ok, out) = whiteboard(&[
+            "run",
+            "--protocol",
+            p.name,
+            "--workload",
+            "path",
+            "--n",
+            "4",
+        ]);
+        assert!(ok, "{}: {out}", p.name);
+    }
+}
+
+/// Runs one invocation as text and again with `--json`; both must exit
+/// alike. Returns the text stdout and the parsed report.
+fn text_and_report(args: &[&str]) -> (String, wb_bench::json::Json) {
+    let run = |json: bool| {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_whiteboard"));
+        cmd.args(args);
+        if json {
+            cmd.arg("--json");
+        }
+        cmd.output().expect("binary runs")
+    };
+    let (text, json) = (run(false), run(true));
+    assert_eq!(text.status.code(), json.status.code(), "{args:?}");
+    let report = String::from_utf8_lossy(&json.stdout);
+    (
+        String::from_utf8_lossy(&text.stdout).into_owned(),
+        wb_bench::json::Json::parse(report.trim()).expect("--json emits one report"),
+    )
+}
+
+#[test]
+fn text_output_renders_the_report() {
+    use wb_bench::json::Json;
+    let num = |r: &Json, key: &str| {
+        r.get(key)
+            .and_then(Json::as_f64)
+            .unwrap_or_else(|| panic!("no number '{key}' in {r}")) as u64
+    };
+    let text = |r: &Json, key: &str| {
+        r.get(key)
+            .and_then(Json::as_str)
+            .unwrap_or_else(|| panic!("no string '{key}' in {r}"))
+            .to_string()
+    };
+    let ids = |r: &Json, key: &str| -> Vec<u64> {
+        r.get(key)
+            .and_then(Json::as_arr)
+            .unwrap_or_else(|| panic!("no list '{key}' in {r}"))
+            .iter()
+            .map(|v| v.as_f64().expect("node ID") as u64)
+            .collect()
+    };
+    let check = |out: &str, lines: Vec<String>| {
+        for line in lines {
+            assert!(out.contains(&line), "missing '{line}' in:\n{out}");
+        }
+    };
+    let explore_lines = |r: &Json| {
+        let verdict = text(r, "verdict");
+        vec![
+            format!("(n = {})\n", num(r, "n")),
+            format!("  distinct states : {}\n", num(r, "distinct_states")),
+            format!("  terminal configs: {}\n", num(r, "terminals")),
+            format!("  merged branches : {} (", num(r, "merged")),
+            format!("  peak frontier   : {}\n", num(r, "peak_frontier")),
+            format!(
+                "  truncated       : {}",
+                if r.get("truncated") == Some(&Json::Bool(true)) {
+                    "YES"
+                } else {
+                    "no\n"
+                }
+            ),
+            match verdict.as_str() {
+                "FAIL" => format!(
+                    "  verdict         : FAIL ({} failing terminal(s);",
+                    num(r, "failures")
+                ),
+                v => format!("  verdict         : {v} ("),
+            },
+        ]
+    };
+
+    let dir = std::env::temp_dir().join(format!("wb_cli_render_test_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let graph_path = dir.join("ablation.txt");
+    std::fs::write(&graph_path, "5\n1 2\n2 3\n1 3\n3 4\n4 5\n").unwrap();
+    let ablation = format!("file:{}", graph_path.display());
+
+    // Reduced explore with the naive comparison.
+    let (out, r) = text_and_report(&[
+        "explore",
+        "--protocol",
+        "mis:1",
+        "--workload",
+        "cycle",
+        "--n",
+        "6",
+        "--compare-naive",
+        "--reduction",
+        "dpor",
+    ]);
+    let stats = r.get("reduction_stats").expect("reduced report");
+    let mut lines = explore_lines(&r);
+    lines.push(format!(
+        "naive (no dedup): {} states, {} schedules",
+        num(&r, "naive_states"),
+        num(&r, "naive_schedules")
+    ));
+    lines.push(format!(
+        "— {} generated, {} sleep-skipped, {} orbit terminals, {} re-expansions\n",
+        num(stats, "generated"),
+        num(stats, "sleep_skipped"),
+        num(stats, "orbit_terminals"),
+        num(stats, "reexpansions")
+    ));
+    check(&out, lines);
+
+    // A failing explore on the Open Problem 3 ablation graph.
+    let (out, r) = text_and_report(&[
+        "explore",
+        "--protocol",
+        "async-bipartite-bfs",
+        "--workload",
+        &ablation,
+        "--n",
+        "5",
+    ]);
+    assert_eq!(text(&r, "verdict"), "FAIL");
+    check(&out, explore_lines(&r));
+
+    // An explore truncated by its state cap.
+    let (out, r) = text_and_report(&[
+        "explore",
+        "--protocol",
+        "mis:1",
+        "--workload",
+        "path",
+        "--n",
+        "6",
+        "--max-states",
+        "20",
+    ]);
+    assert_eq!(text(&r, "verdict"), "INCONCLUSIVE");
+    check(&out, explore_lines(&r));
+
+    // A faulted campaign with witnesses.
+    let (out, r) = text_and_report(&[
+        "campaign",
+        "--protocol",
+        "async-bipartite-bfs",
+        "--graph-family",
+        &ablation,
+        "--n",
+        "5",
+        "--trials",
+        "200",
+        "--seed",
+        "9",
+        "--faults",
+        "crash:1",
+    ]);
+    let witnesses = r.get("witnesses").and_then(Json::as_arr).unwrap();
+    assert!(!witnesses.is_empty(), "{r}");
+    let mut lines = vec![
+        format!("(n = {})\n", num(&r, "n")),
+        format!(
+            "  trials          : {} (sampler {}, seed {})\n",
+            num(&r, "trials"),
+            text(&r, "sampler"),
+            text(&r, "seed")
+        ),
+        format!("  faults          : {}\n", text(&r, "faults")),
+        format!(
+            "  passed / failed : {} / {} (deadlocks {})\n",
+            num(&r, "passed"),
+            num(&r, "failed"),
+            num(&r, "deadlocks")
+        ),
+        format!("  distinct outcomes: {}\n", num(&r, "distinct_outcomes")),
+        format!("  verdict         : {}\n", text(&r, "verdict")),
+    ];
+    for w in witnesses.iter().take(3) {
+        let died = ids(w, "died");
+        lines.push(format!(
+            "  FAIL trial {} (seed {}): write order {:?}{} → {}\n",
+            num(w, "trial"),
+            text(w, "seed"),
+            ids(w, "schedule"),
+            if died.is_empty() {
+                String::new()
+            } else {
+                format!(" (died {died:?})")
+            },
+            text(w, "outcome")
+        ));
+    }
+    assert_eq!(
+        out.matches("  FAIL trial ").count(),
+        witnesses.len().min(3),
+        "{out}"
+    );
+    check(&out, lines);
+
+    // A faulted bulk run names its crashed writers.
+    let (out, r) = text_and_report(&[
+        "bulk",
+        "--protocol",
+        "mis:1",
+        "--n",
+        "200",
+        "--faults",
+        "crash:2",
+    ]);
+    assert_eq!(ids(&r, "died").len(), 2, "{r}");
+    check(
+        &out,
+        vec![
+            format!("(n = {})\n", num(&r, "n")),
+            format!(
+                "  faults          : {} (died {:?})\n",
+                text(&r, "faults"),
+                ids(&r, "died")
+            ),
+            format!("  rounds          : {} in ", num(&r, "rounds")),
+            format!(
+                "  board           : {} bytes payload + {} bytes index, {} shards\n",
+                num(&r, "board_payload_bytes"),
+                num(&r, "board_index_bytes"),
+                num(&r, "shards")
+            ),
+            format!(
+                "  messages        : {} bits total, {} bits/msg max\n",
+                num(&r, "total_bits"),
+                num(&r, "max_message_bits")
+            ),
+            format!("  verdict         : {}\n", text(&r, "verdict")),
+        ],
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
