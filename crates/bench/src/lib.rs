@@ -1,7 +1,7 @@
-//! Shared infrastructure for the experiment binaries and Criterion benches.
+//! Shared infrastructure for the experiment binaries.
 //!
-//! Each binary regenerates one table or figure of the paper (see DESIGN.md's
-//! experiment index and EXPERIMENTS.md for recorded outputs):
+//! Each binary regenerates one table or figure of the paper (the crate's
+//! `README.md` indexes every binary, the gated ones included):
 //!
 //! | binary | paper item |
 //! |---|---|

@@ -1,4 +1,4 @@
-//! Canonical workloads shared by the experiment binaries and benches.
+//! Canonical workloads shared by the experiment binaries.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;

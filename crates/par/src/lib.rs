@@ -16,9 +16,9 @@
 //! - [`par_batch_reduce`] — index-range reduction in contiguous batches with
 //!   a commutative-monoid merge (the Monte Carlo campaign runner's
 //!   aggregation primitive);
-//! - [`par_stripes`] — striped writers: fill independent output shards in
-//!   parallel and reassemble them in stripe order (the bulk tier's sharded
-//!   whiteboard appends through this);
+//! - [`par_stripes_with`] — striped writers: fill independent output shards
+//!   in parallel on a pool of a given width and reassemble them in stripe
+//!   order (the bulk tier's sharded whiteboard appends through this);
 //! - [`WorkQueue`] — a bounded queue with overflow reported to the producer
 //!   instead of blocking or allocating without bound;
 //! - [`ClosableQueue`] — the long-lived sibling of [`WorkQueue`]: consumers
@@ -133,8 +133,9 @@ pub fn par_map_vec<T: Send, R: Send>(items: Vec<T>, f: impl Fn(T) -> R + Sync) -
         .collect()
 }
 
-/// Fill `stripes` independent output stripes in parallel, returning them in
-/// stripe order: stripe `s` is produced by `fill(s)`, exactly once.
+/// Fill `stripes` independent output stripes in parallel on up to `threads`
+/// workers, returning them in stripe order: stripe `s` is produced by
+/// `fill(s)`, exactly once.
 ///
 /// This is the **striped writer** primitive behind the bulk tier's sharded
 /// whiteboard: each stripe is an append-only shard owned by exactly one
@@ -144,17 +145,11 @@ pub fn par_map_vec<T: Send, R: Send>(items: Vec<T>, f: impl Fn(T) -> R + Sync) -
 /// Work distribution is dynamic (shared atomic cursor), so skewed stripes
 /// (one shard of huge messages) do not serialize the sweep.
 ///
-/// Falls back to a sequential loop for a single stripe or a width-1 pool.
-pub fn par_stripes<T: Send>(stripes: usize, fill: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    par_stripes_with(num_threads(), stripes, fill)
-}
-
-/// [`par_stripes`] with an explicit pool width instead of [`num_threads`].
-///
-/// The result is identical for every `threads ≥ 1` — stripe `s` is always
-/// `fill(s)`, returned in stripe order — so callers that must *prove*
-/// thread-count insensitivity (the bulk tier's determinism tests) can sweep
-/// the width without touching the `WB_THREADS` environment variable.
+/// The result is identical for every `threads ≥ 1`, so callers that must
+/// *prove* thread-count insensitivity (the bulk tier's determinism tests) can
+/// sweep the width without touching the `WB_THREADS` environment variable;
+/// pass [`num_threads`] for the default pool. Falls back to a sequential
+/// loop for a single stripe or a width-1 pool.
 pub fn par_stripes_with<T: Send>(
     threads: usize,
     stripes: usize,
@@ -821,7 +816,7 @@ mod tests {
 
     #[test]
     fn par_stripes_fills_every_stripe_in_order() {
-        let got = par_stripes(37, |s| {
+        let got = par_stripes_with(num_threads(), 37, |s| {
             // Uneven per-stripe work: stripe s yields the vec [s; s % 5].
             vec![s; s % 5]
         });
@@ -829,8 +824,8 @@ mod tests {
         for (s, stripe) in got.iter().enumerate() {
             assert_eq!(stripe, &vec![s; s % 5], "stripe {s}");
         }
-        assert!(par_stripes(0, |s| s).is_empty());
-        assert_eq!(par_stripes(1, |s| s + 10), vec![10]);
+        assert!(par_stripes_with(num_threads(), 0, |s| s).is_empty());
+        assert_eq!(par_stripes_with(num_threads(), 1, |s| s + 10), vec![10]);
     }
 
     #[test]

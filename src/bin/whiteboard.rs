@@ -282,11 +282,13 @@ impl Opts {
                 "--sampler" => o.spec.sampler = value("--sampler")?,
                 "--model" => o.spec.model = value("--model")?,
                 "--batch" => {
-                    o.spec.batch = Some(
-                        value("--batch")?
-                            .parse()
-                            .map_err(|e: std::num::ParseIntError| e.to_string())?,
-                    )
+                    let batch: usize = value("--batch")?
+                        .parse()
+                        .map_err(|e: std::num::ParseIntError| e.to_string())?;
+                    if batch == 0 {
+                        return Err("--batch must be at least 1".into());
+                    }
+                    o.spec.batch = Some(batch);
                 }
                 "--faults" => o.spec.faults = Some(value("--faults")?),
                 "--deadline-ms" => {

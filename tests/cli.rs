@@ -976,6 +976,40 @@ fn strict_parsing_catches_stray_and_malformed_arguments() {
         assert!(!ok, "{args:?}: {out}");
         assert!(out.contains("takes a single --n value"), "{args:?}: {out}");
     }
+    // `--batch 0` is refused by the parser, as the wire refuses it, so
+    // `submit` and the matching `--json` command agree.
+    for args in [
+        &[
+            "bulk",
+            "--protocol",
+            "build:1",
+            "--workload",
+            "path",
+            "--n",
+            "10",
+            "--batch",
+            "0",
+            "--json",
+        ][..],
+        &[
+            "campaign",
+            "--protocol",
+            "mis:1",
+            "--n",
+            "5",
+            "--batch",
+            "0",
+        ],
+        &["submit", "--kind", "bulk", "--batch", "0"],
+    ] {
+        let (ok, out) = whiteboard(args);
+        assert!(!ok, "{args:?}: {out}");
+        assert!(
+            out.contains("--batch must be at least 1"),
+            "{args:?}: {out}"
+        );
+        assert!(!out.contains("\"schema\""), "{args:?}: {out}");
+    }
 }
 
 #[test]
