@@ -395,7 +395,7 @@ fn main() {
         ]);
     }
 
-    banner("Parallel fan-out sanity (striped dedup == sequential counts)");
+    banner("Parallel fan-out sanity (parallel report == sequential report)");
     let g = generators::path(7);
     let p = BuildDegenerate::new(1);
     let seq = explore(&p, &g, &ExploreConfig::default(), |_| true);
@@ -403,6 +403,17 @@ fn main() {
     assert_eq!(seq.distinct_states, par.distinct_states);
     assert_eq!(seq.terminals, par.terminals);
     assert_eq!(seq.merged, par.merged);
+    assert_eq!(seq.truncated, par.truncated);
+    assert_eq!(seq.peak_frontier, par.peak_frontier);
+    assert_eq!(seq.reduction, par.reduction);
+    assert_eq!(seq.outcomes, par.outcomes, "outcomes, in order");
+    let failures = |r: &ExplorationReport<_>| {
+        r.failures
+            .iter()
+            .map(|f| (f.schedule.clone(), f.died.clone(), f.outcome.clone()))
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(failures(&seq), failures(&par), "failures, in order");
     println!(
         "n = 7 BUILD: {} states sequential == {} states parallel, dedup ratio {:.1}x",
         seq.distinct_states,

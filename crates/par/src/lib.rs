@@ -8,8 +8,6 @@
 //! the project's HPC guides:
 //!
 //! - [`par_map`] — parallel map over a slice with deterministic output order;
-//! - [`par_map_vec`] — the owning variant: items move into the workers (for
-//!   consuming maps like the schedule explorer's frontier expansion);
 //! - [`par_for_each`] — parallel consumption of an index range with a shared
 //!   atomic cursor (dynamic load balancing for skewed work);
 //! - [`par_reduce`] — map + associative fold;
@@ -18,7 +16,8 @@
 //!   aggregation primitive);
 //! - [`par_stripes_with`] — striped writers: fill independent output shards
 //!   in parallel on a pool of a given width and reassemble them in stripe
-//!   order (the bulk tier's sharded whiteboard appends through this);
+//!   order (the bulk tier's sharded whiteboard appends through this, and
+//!   the schedule explorer runs its generation phases on it);
 //! - [`WorkQueue`] — a bounded queue with overflow reported to the producer
 //!   instead of blocking or allocating without bound;
 //! - [`ClosableQueue`] — the long-lived sibling of [`WorkQueue`]: consumers
@@ -29,14 +28,8 @@
 //! - [`par_drain`] — parallel consumption of a `WorkQueue` whose consumers
 //!   may push follow-up work (for worklists whose size is not known up
 //!   front, unlike [`par_for_each`]);
-//! - [`StripedSet`] — a sharded concurrent hash set striped by a
-//!   caller-supplied key, so many workers can insert without funneling
-//!   through one lock (backs the schedule explorer's seen-set, striped by
-//!   fingerprint prefix);
-//! - [`StripedMap`] — the mask-valued sibling of [`StripedSet`]: each key
-//!   carries a `u64` bitmask that arrivals intersect, reporting what they
-//!   shrank (the sleep-set DPOR layer's seen-structure, where the mask is
-//!   the sleep set a state was reached with);
+//! - [`PassthroughHasher`] — a hasher for keys that are already uniformly
+//!   mixed, such as the schedule explorer's 128-bit fingerprints;
 //! - [`num_threads`] — the pool width (respects `WB_THREADS`).
 //!
 //! All functions fall back to sequential execution for tiny inputs, so tests
@@ -46,8 +39,8 @@
 #![warn(missing_docs)]
 
 use parking_lot::Mutex;
-use std::collections::{HashMap, HashSet, VecDeque};
-use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
+use std::collections::VecDeque;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Number of worker threads: `WB_THREADS` if set, else available parallelism,
@@ -94,45 +87,6 @@ pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec
         .collect()
 }
 
-/// Parallel map that moves each item into `f` (output order matches input
-/// order). The owning sibling of [`par_map`], for pipelines whose stages
-/// consume their input — e.g. the schedule explorer expands each frontier
-/// engine destructively (step → undo branching) and moves survivors into
-/// the next frontier without a copy.
-///
-/// Work distribution is dynamic (shared atomic cursor); sources and results
-/// live in per-slot locks, so two workers never contend — the cursor hands
-/// each index to exactly one worker, and each slot lock is touched twice
-/// (take, store) without ever funneling through a shared structure. No
-/// `Clone` bound and no `unsafe` needed.
-pub fn par_map_vec<T: Send, R: Send>(items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R> {
-    let n = items.len();
-    let threads = num_threads().min(n.max(1));
-    if threads <= 1 || n <= 1 {
-        return items.into_iter().map(f).collect();
-    }
-    let source: Vec<Mutex<Option<T>>> = items.into_iter().map(|x| Mutex::new(Some(x))).collect();
-    let cursor = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let item = source[i].lock().take().expect("each slot taken once");
-                let r = f(item);
-                *slots[i].lock() = Some(r);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.into_inner().expect("slot filled"))
-        .collect()
-}
-
 /// Fill `stripes` independent output stripes in parallel on up to `threads`
 /// workers, returning them in stripe order: stripe `s` is produced by
 /// `fill(s)`, exactly once.
@@ -143,7 +97,9 @@ pub fn par_map_vec<T: Send, R: Send>(items: Vec<T>, f: impl Fn(T) -> R + Sync) -
 /// reassembling the stripes in index order recovers a deterministic global
 /// append order regardless of which worker produced which stripe when.
 /// Work distribution is dynamic (shared atomic cursor), so skewed stripes
-/// (one shard of huge messages) do not serialize the sweep.
+/// (one shard of huge messages) do not serialize the sweep. The schedule
+/// explorer runs each phase of a frontier generation through it too, one
+/// chunk of parents or one seen-set shard per stripe.
 ///
 /// The result is identical for every `threads ≥ 1`, so callers that must
 /// *prove* thread-count insensitivity (the bulk tier's determinism tests) can
@@ -518,149 +474,6 @@ impl Hasher for PassthroughHasher {
 /// `BuildHasher` shorthand for [`PassthroughHasher`].
 pub type PassthroughBuildHasher = BuildHasherDefault<PassthroughHasher>;
 
-/// A concurrent hash set striped across independently locked shards.
-///
-/// Membership-test-and-insert is the one operation a deduplicating parallel
-/// search needs, and a single `Mutex<HashSet>` turns it into a global
-/// serialization point. `StripedSet` keys each value to one of `2^k` shards
-/// by a caller-supplied 64-bit key (the schedule explorer passes a
-/// fingerprint prefix), so inserts from different shards proceed in
-/// parallel and contention falls by the shard count. The caller must use a
-/// well-distributed key and use it consistently for equal values — equal
-/// values with different keys would land in different shards and both
-/// "insert".
-///
-/// The third type parameter selects the per-shard hasher; pre-mixed keys
-/// (fingerprints) should pass [`PassthroughBuildHasher`] to skip SipHash.
-#[derive(Debug)]
-pub struct StripedSet<T, S = std::collections::hash_map::RandomState> {
-    shards: Box<[Mutex<HashSet<T, S>>]>,
-    mask: u64,
-}
-
-impl<T: Eq + Hash, S: BuildHasher + Default> StripedSet<T, S> {
-    /// A set striped over `shards` shards (rounded up to a power of two).
-    pub fn new(shards: usize) -> Self {
-        Self::with_shard_capacity(shards, 0)
-    }
-
-    /// Like [`Self::new`], pre-reserving `capacity` slots per shard — a
-    /// pre-sized set does not reallocate on insert until a shard outgrows
-    /// its reservation (the allocation-regression test relies on this).
-    pub fn with_shard_capacity(shards: usize, capacity: usize) -> Self {
-        let n = shards.max(1).next_power_of_two();
-        StripedSet {
-            shards: (0..n)
-                .map(|_| Mutex::new(HashSet::with_capacity_and_hasher(capacity, S::default())))
-                .collect(),
-            mask: (n - 1) as u64,
-        }
-    }
-
-    /// Insert `value` into the shard selected by `key`; returns whether the
-    /// value was new. Locks only that one shard.
-    pub fn insert(&self, key: u64, value: T) -> bool {
-        self.shards[(key & self.mask) as usize].lock().insert(value)
-    }
-
-    /// Whether `value` is present (under the same `key` it was inserted with).
-    pub fn contains(&self, key: u64, value: &T) -> bool {
-        self.shards[(key & self.mask) as usize]
-            .lock()
-            .contains(value)
-    }
-
-    /// Total number of values across all shards (locks each shard in turn —
-    /// exact only when quiescent).
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
-    }
-
-    /// Whether every shard is empty.
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.lock().is_empty())
-    }
-
-    /// The number of shards (a power of two).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-}
-
-/// Result of a [`StripedMap::intersect`]: what happened to the stored mask.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MaskMerge {
-    /// The key was absent; the arrival's mask was stored as-is.
-    Inserted,
-    /// The stored mask was already a subset of the arrival's — nothing
-    /// changed.
-    Subset,
-    /// The intersection strictly shrank the stored mask; the payload is the
-    /// set of bits that were cleared (`old & !arrival`).
-    Shrunk(u64),
-}
-
-/// A sharded concurrent map from keys to `u64` bitmasks whose single update
-/// operation is *intersection*: arrivals can only clear bits, so the stored
-/// mask converges monotonically toward the intersection of every arrival.
-///
-/// This is the seen-structure sleep-set DPOR needs: a configuration's entry
-/// holds the intersection of the sleep sets it was reached with, and a
-/// [`MaskMerge::Shrunk`] result names exactly the transitions that earlier
-/// visits wrongly skipped and must now be re-expanded. Sharding and key
-/// discipline match [`StripedSet`].
-#[derive(Debug)]
-pub struct StripedMap<K, S = std::collections::hash_map::RandomState> {
-    shards: Box<[Mutex<HashMap<K, u64, S>>]>,
-    mask: u64,
-}
-
-impl<K: Eq + Hash, S: BuildHasher + Default> StripedMap<K, S> {
-    /// A map striped over `shards` shards (rounded up to a power of two).
-    pub fn new(shards: usize) -> Self {
-        let n = shards.max(1).next_power_of_two();
-        StripedMap {
-            shards: (0..n)
-                .map(|_| Mutex::new(HashMap::with_hasher(S::default())))
-                .collect(),
-            mask: (n - 1) as u64,
-        }
-    }
-
-    /// Intersect the mask stored under `k` (in the shard selected by `key`)
-    /// with `arrival`, inserting `arrival` if the key is absent. Locks only
-    /// that one shard. See [`MaskMerge`] for the three outcomes.
-    pub fn intersect(&self, key: u64, k: K, arrival: u64) -> MaskMerge {
-        match self.shards[(key & self.mask) as usize].lock().entry(k) {
-            std::collections::hash_map::Entry::Vacant(slot) => {
-                slot.insert(arrival);
-                MaskMerge::Inserted
-            }
-            std::collections::hash_map::Entry::Occupied(mut slot) => {
-                let old = *slot.get();
-                let new = old & arrival;
-                if new == old {
-                    MaskMerge::Subset
-                } else {
-                    slot.insert(new);
-                    MaskMerge::Shrunk(old & !arrival)
-                }
-            }
-        }
-    }
-
-    /// Total number of keys across all shards (locks each shard in turn —
-    /// exact only when quiescent).
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
-    }
-
-    /// Whether every shard is empty.
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.lock().is_empty())
-    }
-}
-
 /// Consume `queue` across the pool until it is empty *and* every worker is
 /// idle. `f` may push follow-up work back onto the queue (subject to the
 /// capacity bound), which is what distinguishes this from [`par_for_each`]:
@@ -721,97 +534,6 @@ mod tests {
         let empty: Vec<u32> = vec![];
         assert!(par_map(&empty, |&x| x).is_empty());
         assert_eq!(par_map(&[7u32], |&x| x + 1), vec![8]);
-    }
-
-    #[test]
-    fn par_map_vec_moves_items_in_order() {
-        // Non-Clone payload: ownership must genuinely transfer.
-        struct Item(Box<u64>);
-        let input: Vec<Item> = (0..300).map(|x| Item(Box::new(x))).collect();
-        let out = par_map_vec(input, |item| *item.0 * 2);
-        let expected: Vec<u64> = (0..300).map(|x| x * 2).collect();
-        assert_eq!(out, expected);
-    }
-
-    #[test]
-    fn par_map_vec_empty_and_singleton() {
-        assert!(par_map_vec(Vec::<u8>::new(), |x| x).is_empty());
-        assert_eq!(par_map_vec(vec![41u32], |x| x + 1), vec![42]);
-    }
-
-    #[test]
-    fn striped_set_dedups_across_shards() {
-        let set: StripedSet<u64> = StripedSet::new(8);
-        assert_eq!(set.shard_count(), 8);
-        assert!(set.is_empty());
-        assert!(set.insert(17, 100));
-        assert!(!set.insert(17, 100), "second insert merges");
-        assert!(set.insert(18, 100), "different shard, same value: new");
-        assert!(set.insert(17, 101));
-        assert_eq!(set.len(), 3);
-        assert!(set.contains(17, &100));
-        assert!(!set.contains(17, &999));
-    }
-
-    #[test]
-    fn striped_set_rounds_shards_to_power_of_two() {
-        assert_eq!(StripedSet::<u32>::new(0).shard_count(), 1);
-        assert_eq!(StripedSet::<u32>::new(5).shard_count(), 8);
-        assert_eq!(StripedSet::<u32>::new(64).shard_count(), 64);
-    }
-
-    #[test]
-    fn striped_set_concurrent_inserts_count_each_value_once() {
-        // Many threads race to insert an overlapping value range; exactly
-        // one insert per value may win.
-        let set: StripedSet<u64> = StripedSet::new(16);
-        let winners = AtomicU64::new(0);
-        par_for_each(64, |worker| {
-            for v in 0..500u64 {
-                if set.insert(v.wrapping_mul(0x9E3779B97F4A7C15) >> 32, v) {
-                    winners.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            let _ = worker;
-        });
-        assert_eq!(winners.load(Ordering::Relaxed), 500);
-        assert_eq!(set.len(), 500);
-    }
-
-    #[test]
-    fn striped_map_intersects_masks() {
-        let map: StripedMap<u128> = StripedMap::new(8);
-        assert!(map.is_empty());
-        assert_eq!(map.intersect(3, 500, 0b1110), MaskMerge::Inserted);
-        assert_eq!(map.intersect(3, 500, 0b1111), MaskMerge::Subset);
-        assert_eq!(map.intersect(3, 500, 0b1110), MaskMerge::Subset);
-        // 0b0110 clears bit 3 of the stored 0b1110.
-        assert_eq!(map.intersect(3, 500, 0b0110), MaskMerge::Shrunk(0b1000));
-        // Stored is now 0b0110; the empty arrival clears the rest.
-        assert_eq!(map.intersect(3, 500, 0), MaskMerge::Shrunk(0b0110));
-        assert_eq!(map.intersect(3, 500, 0), MaskMerge::Subset);
-        // Same value under a different shard key is a distinct entry.
-        assert_eq!(map.intersect(4, 500, u64::MAX), MaskMerge::Inserted);
-        assert_eq!(map.len(), 2);
-    }
-
-    #[test]
-    fn striped_map_concurrent_intersections_converge() {
-        // Every worker intersects each key with its own single-bit
-        // complement; the final mask must be the intersection of all
-        // arrivals no matter the interleaving.
-        let map: StripedMap<u64> = StripedMap::new(16);
-        par_for_each(8, |worker| {
-            for k in 0..100u64 {
-                map.intersect(k, k, !(1 << worker));
-            }
-        });
-        assert_eq!(map.len(), 100);
-        for k in 0..100u64 {
-            // All eight low bits cleared: a full-mask arrival reports
-            // Subset, proving the stored value.
-            assert_eq!(map.intersect(k, k, !0xFF), MaskMerge::Subset);
-        }
     }
 
     #[test]

@@ -87,6 +87,21 @@ impl Whiteboard {
         self.by_writer.iter().map(|&i| &self.entries[i as usize])
     }
 
+    /// A copy with room for `extra` more messages (engine use: an engine
+    /// clone that will be stepped should not regrow its board on the way).
+    pub(crate) fn with_room(&self, extra: usize) -> Self {
+        let mut board = Whiteboard::with_capacity(self.len() + extra);
+        board.entries.extend_from_slice(&self.entries);
+        board.by_writer.extend_from_slice(&self.by_writer);
+        board
+    }
+
+    /// Reserve room for exactly `extra` more messages (engine use).
+    pub(crate) fn reserve(&mut self, extra: usize) {
+        self.entries.reserve_exact(extra);
+        self.by_writer.reserve_exact(extra);
+    }
+
     /// Append a message (engine use).
     pub(crate) fn push(&mut self, writer: NodeId, msg: BitVec) {
         let idx = self.entries.len() as u32;

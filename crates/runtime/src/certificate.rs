@@ -3,7 +3,7 @@
 //! The schedule explorer ([`crate::exhaustive`]) collapses the `n!` schedule
 //! tree into the DAG of distinct configurations — but its verdicts are only
 //! as trustworthy as the optimization stack that produced them (undo-log
-//! branching, 128-bit fingerprint dedup, striped parallel seen-sets). This
+//! branching, 128-bit fingerprint dedup, a sharded seen-set). This
 //! module serializes a run as an [`ExplorationCertificate`] that a
 //! deliberately small, engine-independent verifier (the `wb-verify` crate)
 //! re-checks edge by edge: the proof-certificate / counterexample-trace
@@ -33,10 +33,10 @@
 //! fault-free certificate (no plan, or an inert `crash:0`/`lossy:0` plan)
 //! serializes byte-identically to the pre-fault format.
 //!
-//! [`certify`] produces the certificate with the sequential explorer
-//! itself — unreduced, without a frontier cap — deduplicating through a
-//! seen-set that logs every probed transition as an edge and every new
-//! terminal's hash. Witness traces come from replaying each failure's
+//! [`certify`] produces the certificate with the explorer's own generation
+//! step — one worker, unreduced, without a frontier cap — plus an edge log
+//! that records every transition the walk takes and every terminal it
+//! judges. Witness traces come from replaying each failure's
 //! schedule, and witnesses are sorted into depth-first order (the
 //! breadth-first walk meets failures shortest-first).
 //!
@@ -51,13 +51,12 @@
 
 use crate::engine::{Engine, Outcome};
 use crate::exhaustive::{
-    explore_sequential, probe_from_insert, DedupPolicy, ExplorationReport, ExploreConfig, Probe,
-    Reduction, ReductionPolicy, ScheduleFailure, SeenProbe,
+    explore_logged, DedupPolicy, EdgeLog, ExplorationReport, ExploreConfig, ReductionPolicy,
+    ScheduleFailure,
 };
 use crate::model::Model;
 use crate::protocol::Protocol;
 use std::cell::RefCell;
-use std::collections::HashSet;
 use std::fmt::Debug;
 use wb_graph::{Graph, NodeId};
 use wb_math::hash::{hex128, Digest128};
@@ -311,8 +310,8 @@ pub struct CertificateScenario<'a> {
 /// branches over which scheduled writes die, up to the plan's budget.
 ///
 /// The walk is the sequential explorer with fingerprint dedup, no
-/// reduction and no frontier cap, deduplicating through a seen-set that
-/// logs every probed transition as an edge. Errors instead of truncating:
+/// reduction and no frontier cap, plus an edge log that records every
+/// transition it takes. Errors instead of truncating:
 /// a partial walk proves nothing, so exceeding `config.max_states` is an
 /// error, and [`DedupPolicy::Off`] is refused outright (see the module docs
 /// on the soundness boundary). `config.max_frontier` and
@@ -344,16 +343,15 @@ where
         reduction: ReductionPolicy::Off,
         ..config.clone()
     };
-    let seen = CertifyingSeen::default();
-    // The explorer judges terminals in the order the seen-set logs them.
+    let mut log = EdgeLog::default();
+    // The explorer judges terminals in the order the edge log records them.
     let verdicts = RefCell::new(Vec::new());
     let judge = |outcome: &Outcome<P::Output>, died: &[NodeId]| {
         let verdict = check(outcome, died);
         verdicts.borrow_mut().push(verdict);
         verdict
     };
-    let red = Reduction::build(protocol, g, &walk);
-    let mut report = explore_sequential(protocol, g, &walk, &judge, &seen, &red);
+    let mut report = explore_logged(protocol, g, &walk, &judge, &mut log);
     if report.truncated {
         return Err(format!(
             "exploration exceeded max_states = {}: a truncated walk cannot be certified",
@@ -361,7 +359,6 @@ where
         ));
     }
 
-    let log = seen.0.into_inner();
     let mut edges = log.edges;
     edges.sort_unstable();
     let mut terminals: Vec<CertificateTerminal> = log
@@ -415,49 +412,6 @@ where
     })
 }
 
-/// The certifying walk's seen-set: canonical fingerprints, logging every
-/// probed transition as an edge and every new terminal's hash.
-#[derive(Default)]
-struct CertifyingSeen(RefCell<WalkLog>);
-
-#[derive(Default)]
-struct WalkLog {
-    seen: HashSet<u128>,
-    initial: u128,
-    /// Hash of the configuration being expanded.
-    from: u128,
-    edges: Vec<CertificateEdge>,
-    /// New terminal hashes, in the order the explorer judges them.
-    terminals: Vec<u128>,
-}
-
-impl SeenProbe for CertifyingSeen {
-    fn probe<P: Protocol>(&self, engine: &Engine<P>, _red: &Reduction, _sleep: u64) -> Probe {
-        let to = engine.canonical_fingerprint().as_u128();
-        let log = &mut *self.0.borrow_mut();
-        // The transition just taken is the last pick; it crashed iff it is
-        // also the last casualty (every node is picked at most once).
-        match engine.write_order().last() {
-            Some(&writer) => log.edges.push(CertificateEdge {
-                from: log.from,
-                writer,
-                crash: engine.crashed().last() == Some(&writer),
-                to,
-            }),
-            None => log.initial = to,
-        }
-        let new = log.seen.insert(to);
-        if new && !engine.has_active() {
-            log.terminals.push(to);
-        }
-        probe_from_insert(new)
-    }
-
-    fn enter<P: Protocol>(&self, engine: &Engine<P>) {
-        self.0.borrow_mut().from = engine.canonical_fingerprint().as_u128();
-    }
-}
-
 /// Replay a failure's schedule from the initial configuration, hashing the
 /// configuration after every pick: the witness's strict-replay trace.
 fn replay_trace<P: Protocol>(
@@ -487,6 +441,7 @@ mod tests {
     use super::*;
     use crate::engine::toys::*;
     use crate::exhaustive::explore;
+    use std::collections::HashSet;
     use wb_graph::generators;
 
     fn scenario() -> CertificateScenario<'static> {

@@ -113,7 +113,7 @@ impl CanonicalState {
 
     /// A shard key derived from the encoding itself, so orbit-canonical
     /// exact keys shard consistently no matter which orbit member was
-    /// probed (the explorer's striped seen-set needs key → shard to be a
+    /// probed (the explorer's sharded seen-set needs key → shard to be a
     /// pure function of the key).
     pub(crate) fn shard_key(&self) -> u64 {
         let mut digest = wb_math::hash::Digest128::new();
@@ -144,7 +144,7 @@ impl Fingerprint {
         self.0
     }
 
-    /// The high 64 bits — what the striped seen-set uses to pick a shard.
+    /// The high 64 bits — what the sharded seen-set uses to pick a shard.
     pub fn shard_key(&self) -> u64 {
         (self.0 >> 64) as u64
     }
@@ -254,11 +254,18 @@ impl<'a, P: Protocol> Clone for Engine<'a, P> {
             nodes: self.nodes.clone(),
             status: self.status.clone(),
             frozen: self.frozen.clone(),
-            board: self.board.clone(),
-            write_order: self.write_order.clone(),
-            crashed: self.crashed.clone(),
-            // A clone is a fresh branch point: it does not inherit the
+            // A clone is a fresh branch point. It has room for two more
+            // writes, the explorer's usual next steps (the child's own write,
+            // then each probe of the child's children, one at a time), so
+            // neither regrows the board; and it does not inherit the
             // original's outstanding savepoints.
+            board: self.board.with_room(2),
+            write_order: {
+                let mut order = Vec::with_capacity(self.write_order.len() + 2);
+                order.extend_from_slice(&self.write_order);
+                order
+            },
+            crashed: self.crashed.clone(),
             undo: Vec::new(),
             tokens: 0,
         }
@@ -371,6 +378,21 @@ impl<'a, P: Protocol> Engine<'a, P> {
         debug_assert_eq!(token.mark, 0);
         let _ = token;
         self.tokens = 0;
+        self.undo = Vec::new();
+    }
+
+    /// Give the engine room for two more writes, as a clone has (see
+    /// `Clone`): the explorer steps a parent it keeps for its last child.
+    pub(crate) fn make_room(&mut self) {
+        self.board.reserve(2);
+        self.write_order.reserve_exact(2);
+    }
+
+    /// Free the journal's memory once branching from this engine is done
+    /// (no token may be outstanding): the explorer keeps a whole frontier
+    /// of probed parents alive until their children are built.
+    pub(crate) fn release_journal(&mut self) {
+        assert_eq!(self.tokens, 0, "a step token is still outstanding");
         self.undo = Vec::new();
     }
 

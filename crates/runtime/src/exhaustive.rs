@@ -9,24 +9,40 @@
 //! Two executors make the quantifier executable:
 //!
 //! - The **schedule-space explorer** ([`explore`] / [`explore_parallel`] /
-//!   [`assert_explored`]) — an iterative worklist over a frontier of
-//!   configurations. Children are generated clone-free: for each awake
-//!   pick's write and, while a fault budget lasts, its crash, the one
-//!   expander opens a savepoint ([`Engine::step_token`]), steps, probes the
-//!   seen-set, and undoes — only children that survive deduplication are
-//!   cloned into the next frontier, so the per-child cost is
-//!   `O(changed bytes)` instead of `O(engine size)`. Deduplication streams
-//!   the canonical configuration encoding into a 128-bit
-//!   [`Engine::canonical_fingerprint`] by default
-//!   ([`DedupPolicy::Canonical`]), with exact full-encoding snapshots kept as
-//!   a verification mode ([`DedupPolicy::Exact`]); the seen-set is striped by
-//!   fingerprint prefix (`wb_par::StripedSet`) so the parallel explorer
-//!   inserts without funneling through one lock. On simultaneous models the
-//!   `n!` tree collapses to its DAG of distinct configurations (`2^n` states
-//!   instead of `n!` paths for a write-order-oblivious protocol). The result
-//!   is a structured [`ExplorationReport`] — schedules, distinct states,
-//!   dedup ratio, cap status, and a witness schedule per failure — never a
-//!   panic mid-walk.
+//!   [`assert_explored`]) — a breadth-first walk over generations of
+//!   configurations. One generation step serves the sequential explorer
+//!   (one worker, inline on the calling thread), the parallel one
+//!   (`wb_par::num_threads()` scoped workers) and the certifying walk
+//!   (`crate::certificate`, which adds an edge log). It walks the frontier
+//!   in order, in batches of parents, each in four phases:
+//!   1. *Probe*, over contiguous chunks of parents: each transition — an
+//!      awake pick's write, then its crash while a fault budget lasts — is
+//!      applied under a savepoint ([`Engine::step_token`]) just long enough
+//!      to compute the child's dedup key, sleep mask and terminal flag, then
+//!      undone, so a probe costs `O(changed bytes)` instead of
+//!      `O(engine size)`.
+//!   2. *Dedup*, over shards of the seen-set: a key lives in one shard, one
+//!      worker owns a shard, and each shard records its arrivals in global
+//!      (parent, transition) order. A key's fate depends only on earlier
+//!      arrivals of the same key, so no lock is taken and every verdict
+//!      equals the one-worker walk's.
+//!   3. *Settle*, on the calling thread in global order: the counters, the
+//!      `max_states` stop and the `max_frontier` cut.
+//!   4. *Materialize*, on the calling thread in global order, consuming
+//!      the parents: each admitted child is rebuilt by re-applying its
+//!      transition to a clone of its parent (the parent's last child takes
+//!      the parent itself), and terminals reach the caller's check.
+//!
+//!   Reports are therefore identical for every worker count. Deduplication
+//!   keys on a 128-bit [`Engine::canonical_fingerprint`] of the canonical
+//!   configuration encoding by default ([`DedupPolicy::Canonical`]), with
+//!   exact full-encoding snapshots kept as a verification mode
+//!   ([`DedupPolicy::Exact`]). On simultaneous models the `n!` tree
+//!   collapses to its DAG of distinct configurations (`2^n` states instead
+//!   of `n!` paths for a write-order-oblivious protocol). The result is a
+//!   structured [`ExplorationReport`] — schedules, distinct states, dedup
+//!   ratio, cap status, and a witness schedule per failure — never a panic
+//!   mid-walk.
 //! - The **naive recursive DFS** ([`for_each_schedule`]) — walks all leaves
 //!   of the schedule tree on a single engine via step → recurse → undo. It
 //!   scales factorially but assumes nothing about the protocol, so it is the
@@ -67,15 +83,19 @@
 //! reach identical state counts and outcome sets on every labeled graph up
 //! to `n = 5` under all four models.
 
+use crate::certificate::CertificateEdge;
 use crate::engine::{CanonicalState, Engine, Outcome, RunReport};
 use crate::fault::FaultPlan;
 use crate::model::Model;
 use crate::protocol::{Commutativity, Protocol};
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
+use std::hash::{BuildHasher, Hash};
 use std::str::FromStr;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Mutex;
 use wb_graph::{Graph, NodeId};
-use wb_par::{MaskMerge, PassthroughBuildHasher, StripedMap, StripedSet};
+use wb_par::PassthroughBuildHasher;
 
 // ---------------------------------------------------------------------------
 // Explorer configuration and report
@@ -315,10 +335,9 @@ pub struct ExplorationReport<O> {
     pub peak_frontier: usize,
     /// One outcome per distinct terminal *configuration*. Different
     /// configurations may produce equal outputs, so this can contain
-    /// duplicates — set-ify before counting outcomes. Sequential
-    /// exploration yields deterministic discovery order; the parallel
-    /// explorer yields a deterministic *multiset* (racing duplicates may be
-    /// attributed to either parent).
+    /// duplicates — set-ify before counting outcomes. The order is the
+    /// deterministic discovery order, the same for the sequential and the
+    /// parallel explorer.
     pub outcomes: Vec<Outcome<O>>,
     /// Terminal configurations whose outcome failed the predicate, each with
     /// a witness schedule.
@@ -367,10 +386,6 @@ impl<O> ExplorationReport<O> {
 }
 
 // ---------------------------------------------------------------------------
-// The worklist explorer
-// ---------------------------------------------------------------------------
-
-// ---------------------------------------------------------------------------
 // Reductions: independence masks and the automorphism quotient
 // ---------------------------------------------------------------------------
 
@@ -399,7 +414,7 @@ struct SymQuotient {
 /// Everything the expander needs to apply the configured reductions; built
 /// once per exploration. Both parts are `None` when the corresponding
 /// technique did not arm (policy off, protocol ineligible, dedup off).
-pub(crate) struct Reduction {
+struct Reduction {
     /// `indep[u-1]` = bitmask of nodes whose writes commute with `u`'s
     /// (bit `v-1` = node `v`). Present iff sleep-set DPOR armed.
     indep: Option<Vec<u64>>,
@@ -437,7 +452,7 @@ impl Reduction {
     ///   only commute when they also share no neighbor (distance > 2).
     /// - Symmetry needs equivariance, dedup on, and a completely enumerated
     ///   stabilizer of order > 1.
-    pub(crate) fn build<P: Protocol>(protocol: &P, g: &Graph, config: &ExploreConfig) -> Self {
+    fn build<P: Protocol>(protocol: &P, g: &Graph, config: &ExploreConfig) -> Self {
         let mut red = Reduction::inert(config);
         let policy = config.reduction;
         if policy == ReductionPolicy::Off || config.dedup == DedupPolicy::Off {
@@ -504,17 +519,18 @@ impl Reduction {
 
     /// Orbit-canonical fingerprint: the minimum over the automorphism group
     /// of the relabeled configuration's fingerprint, plus the minimizing
-    /// permutation (`None` = identity) so sleep masks can be carried into
-    /// the canonical frame. Without symmetry this is the plain fingerprint.
-    fn fp_key<P: Protocol>(&self, engine: &Engine<P>) -> (u128, Option<&PermPair>) {
+    /// permutation's index (`None` = identity; see [`Self::perm`]) so sleep
+    /// masks can be carried into the canonical frame. Without symmetry this
+    /// is the plain fingerprint.
+    fn fp_key<P: Protocol>(&self, engine: &Engine<P>) -> (u128, Option<u32>) {
         let mut best = engine.canonical_fingerprint().as_u128();
         let mut best_perm = None;
         if let Some(sym) = &self.sym {
-            for pp in &sym.perms {
+            for (i, pp) in sym.perms.iter().enumerate() {
                 let fp = engine.permuted_fingerprint(&pp.fwd, &pp.inv).as_u128();
                 if fp < best {
                     best = fp;
-                    best_perm = Some(pp);
+                    best_perm = Some(i as u32);
                 }
             }
         }
@@ -523,19 +539,24 @@ impl Reduction {
 
     /// Orbit-canonical exact key: lexicographically minimal relabeled
     /// canonical encoding (collision-free counterpart of [`Self::fp_key`]).
-    fn exact_key<P: Protocol>(&self, engine: &Engine<P>) -> (CanonicalState, Option<&PermPair>) {
+    fn exact_key<P: Protocol>(&self, engine: &Engine<P>) -> (CanonicalState, Option<u32>) {
         let mut best = engine.canonical_state();
         let mut best_perm = None;
         if let Some(sym) = &self.sym {
-            for pp in &sym.perms {
+            for (i, pp) in sym.perms.iter().enumerate() {
                 let state = engine.permuted_state(&pp.fwd, &pp.inv);
                 if state < best {
                     best = state;
-                    best_perm = Some(pp);
+                    best_perm = Some(i as u32);
                 }
             }
         }
         (best, best_perm)
+    }
+
+    /// The automorphism a key was minimized under (`None` = identity).
+    fn perm(&self, index: Option<u32>) -> Option<&PermPair> {
+        Some(&self.sym.as_ref()?.perms[index? as usize])
     }
 
     /// Relabel a node bitmask through a permutation (bit `v-1` → bit
@@ -561,250 +582,113 @@ fn to_canonical_frame(sleep: u64, perm: Option<&PermPair>) -> u64 {
     }
 }
 
-/// Result of probing the seen structure with one configuration.
-pub(crate) enum Probe {
-    /// First visit.
-    New,
-    /// Already seen, nothing left to do under it.
-    Merge,
-    /// Already seen, but this arrival's sleep set exposes picks (arrival
-    /// frame) the earlier visits never explored: re-expand restricted to
-    /// them.
-    Wake(u64),
+// ---------------------------------------------------------------------------
+// The generation step
+// ---------------------------------------------------------------------------
+
+/// What recording one arrival did to the seen structure.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum MaskMerge {
+    /// First visit: the arrival's sleep mask was stored as-is.
+    Inserted,
+    /// Already seen, and the stored sleep mask was already a subset of the
+    /// arrival's: nothing left to do under it.
+    Subset,
+    /// Already seen, but the intersection strictly shrank the stored mask:
+    /// the payload names the cleared bits (`old & !arrival`), the picks
+    /// earlier visits never explored, which must now be re-expanded.
+    Shrunk(u64),
 }
 
-pub(crate) fn probe_from_insert(new: bool) -> Probe {
-    if new {
-        Probe::New
-    } else {
-        Probe::Merge
+/// A seen-set key: the 128-bit fingerprint ([`DedupPolicy::Canonical`]) or
+/// the exact encoding ([`DedupPolicy::Exact`]), orbit-canonical when the
+/// symmetry quotient is armed.
+trait DedupKey: Eq + Hash + Send + Sized {
+    /// The seen-set hasher: fingerprints are already uniformly mixed, so
+    /// they skip SipHash.
+    type Hasher: BuildHasher + Default + Send;
+
+    /// The key of `engine`'s configuration, plus the automorphism that
+    /// minimized it (an index into the quotient's elements; `None` is the
+    /// identity).
+    fn of<P: Protocol>(red: &Reduction, engine: &Engine<P>) -> (Self, Option<u32>);
+
+    /// Well-mixed bits choosing the key's shard: a pure function of the
+    /// key, so orbit-canonical keys shard the same whichever orbit member
+    /// was probed.
+    fn route(&self) -> u64;
+}
+
+impl DedupKey for u128 {
+    type Hasher = PassthroughBuildHasher;
+
+    fn of<P: Protocol>(red: &Reduction, engine: &Engine<P>) -> (Self, Option<u32>) {
+        red.fp_key(engine)
+    }
+
+    fn route(&self) -> u64 {
+        (*self >> 64) as u64
     }
 }
 
-fn probe_from_merge(merge: MaskMerge, perm: Option<&PermPair>) -> Probe {
-    match merge {
-        MaskMerge::Inserted => Probe::New,
-        MaskMerge::Subset => Probe::Merge,
-        MaskMerge::Shrunk(woken) => Probe::Wake(match perm {
-            Some(pp) => Reduction::map_mask(woken, &pp.inv),
-            None => woken,
-        }),
+impl DedupKey for CanonicalState {
+    type Hasher = std::collections::hash_map::RandomState;
+
+    fn of<P: Protocol>(red: &Reduction, engine: &Engine<P>) -> (Self, Option<u32>) {
+        red.exact_key(engine)
+    }
+
+    fn route(&self) -> u64 {
+        self.shard_key()
     }
 }
 
-/// Probe-and-insert interface over the seen-set, so the sequential explorer
-/// can use an unsynchronized set (no lock on the hottest operation) while
-/// the parallel explorer shares a striped one. `red` canonicalizes the key
-/// over the automorphism quotient; `sleep` is this arrival's sleep mask
-/// (ignored by the plain set variants, intersected into the stored mask by
-/// the sleep-map variants DPOR uses). The certifying walk plugs in a set
-/// that also logs the transition graph (`crate::certificate`).
-pub(crate) trait SeenProbe {
-    /// Record the engine's current configuration: the root, or a child of
-    /// the configuration last passed to [`Self::enter`].
-    fn probe<P: Protocol>(&self, engine: &Engine<P>, red: &Reduction, sleep: u64) -> Probe;
-
-    /// Called with each configuration before its transitions are probed.
-    fn enter<P: Protocol>(&self, _engine: &Engine<P>) {}
+/// One shard of the seen structure. A key lives in the shard its
+/// [`DedupKey::route`] picks, and one worker at a time owns a shard, so no
+/// lock guards it. The sleep-mask map is chosen only when DPOR armed (an
+/// entry holds the intersection of the sleep sets its configuration was
+/// reached with); otherwise the plain set keeps the unreduced walk lean.
+enum Shard<K: DedupKey> {
+    Set(HashSet<K, K::Hasher>),
+    Map(HashMap<K, u64, K::Hasher>),
 }
 
-/// The shared seen structure, striped by key prefix so concurrent workers
-/// rarely contend for the same lock. The `*Sleep` map variants are chosen
-/// only when DPOR armed; otherwise the plain sets keep the pre-reduction
-/// path byte-identical.
-enum SharedSeen {
-    /// Fingerprints are already uniformly mixed, so the shards hash them
-    /// with the pass-through hasher instead of SipHash.
-    Fingerprint(StripedSet<u128, PassthroughBuildHasher>),
-    Exact(StripedSet<CanonicalState>),
-    FingerprintSleep(StripedMap<u128, PassthroughBuildHasher>),
-    ExactSleep(StripedMap<CanonicalState>),
-    Off,
-}
-
-impl SharedSeen {
-    fn new(policy: DedupPolicy, shards: usize, sleep_sets: bool) -> Self {
-        match (policy, sleep_sets) {
-            (DedupPolicy::Canonical, false) => SharedSeen::Fingerprint(StripedSet::new(shards)),
-            (DedupPolicy::Canonical, true) => SharedSeen::FingerprintSleep(StripedMap::new(shards)),
-            (DedupPolicy::Exact, false) => SharedSeen::Exact(StripedSet::new(shards)),
-            (DedupPolicy::Exact, true) => SharedSeen::ExactSleep(StripedMap::new(shards)),
-            (DedupPolicy::Off, _) => SharedSeen::Off,
+impl<K: DedupKey> Shard<K> {
+    fn new(sleep_sets: bool) -> Self {
+        if sleep_sets {
+            Shard::Map(HashMap::default())
+        } else {
+            Shard::Set(HashSet::default())
         }
     }
-}
 
-impl SeenProbe for SharedSeen {
-    fn probe<P: Protocol>(&self, engine: &Engine<P>, red: &Reduction, sleep: u64) -> Probe {
+    /// Record one arrival whose sleep mask, in the canonical frame, is
+    /// `sleep` (ignored by the plain set).
+    fn admit(&mut self, key: K, sleep: u64) -> MaskMerge {
         match self {
-            SharedSeen::Fingerprint(set) => {
-                let (key, _) = red.fp_key(engine);
-                probe_from_insert(set.insert((key >> 64) as u64, key))
-            }
-            SharedSeen::Exact(set) => {
-                let (state, _) = red.exact_key(engine);
-                let shard = state.shard_key();
-                probe_from_insert(set.insert(shard, state))
-            }
-            SharedSeen::FingerprintSleep(map) => {
-                let (key, perm) = red.fp_key(engine);
-                let arrival = to_canonical_frame(sleep, perm);
-                probe_from_merge(map.intersect((key >> 64) as u64, key, arrival), perm)
-            }
-            SharedSeen::ExactSleep(map) => {
-                let (state, perm) = red.exact_key(engine);
-                let shard = state.shard_key();
-                let arrival = to_canonical_frame(sleep, perm);
-                probe_from_merge(map.intersect(shard, state, arrival), perm)
-            }
-            SharedSeen::Off => Probe::New,
-        }
-    }
-}
-
-/// [`wb_par::StripedMap::intersect`] for the unsynchronized maps.
-fn local_intersect<K: Eq + std::hash::Hash, H: std::hash::BuildHasher>(
-    map: &mut std::collections::HashMap<K, u64, H>,
-    key: K,
-    arrival: u64,
-) -> MaskMerge {
-    use std::collections::hash_map::Entry;
-    match map.entry(key) {
-        Entry::Vacant(slot) => {
-            slot.insert(arrival);
-            MaskMerge::Inserted
-        }
-        Entry::Occupied(mut slot) => {
-            let old = *slot.get();
-            let new = old & arrival;
-            if new == old {
-                MaskMerge::Subset
-            } else {
-                slot.insert(new);
-                MaskMerge::Shrunk(old & !arrival)
-            }
-        }
-    }
-}
-
-/// Single-threaded seen structure: same variants, no mutex on the probe path.
-enum LocalSeenInner {
-    Fingerprint(std::collections::HashSet<u128, PassthroughBuildHasher>),
-    Exact(std::collections::HashSet<CanonicalState>),
-    FingerprintSleep(std::collections::HashMap<u128, u64, PassthroughBuildHasher>),
-    ExactSleep(std::collections::HashMap<CanonicalState, u64>),
-    Off,
-}
-
-struct LocalSeen(std::cell::RefCell<LocalSeenInner>);
-
-impl LocalSeen {
-    fn new(policy: DedupPolicy, sleep_sets: bool) -> Self {
-        LocalSeen(std::cell::RefCell::new(match (policy, sleep_sets) {
-            (DedupPolicy::Canonical, false) => {
-                LocalSeenInner::Fingerprint(std::collections::HashSet::default())
-            }
-            (DedupPolicy::Canonical, true) => {
-                LocalSeenInner::FingerprintSleep(std::collections::HashMap::default())
-            }
-            (DedupPolicy::Exact, false) => LocalSeenInner::Exact(std::collections::HashSet::new()),
-            (DedupPolicy::Exact, true) => {
-                LocalSeenInner::ExactSleep(std::collections::HashMap::new())
-            }
-            (DedupPolicy::Off, _) => LocalSeenInner::Off,
-        }))
-    }
-}
-
-impl SeenProbe for LocalSeen {
-    fn probe<P: Protocol>(&self, engine: &Engine<P>, red: &Reduction, sleep: u64) -> Probe {
-        match &mut *self.0.borrow_mut() {
-            LocalSeenInner::Fingerprint(set) => probe_from_insert(set.insert(red.fp_key(engine).0)),
-            LocalSeenInner::Exact(set) => probe_from_insert(set.insert(red.exact_key(engine).0)),
-            LocalSeenInner::FingerprintSleep(map) => {
-                let (key, perm) = red.fp_key(engine);
-                probe_from_merge(
-                    local_intersect(map, key, to_canonical_frame(sleep, perm)),
-                    perm,
-                )
-            }
-            LocalSeenInner::ExactSleep(map) => {
-                let (state, perm) = red.exact_key(engine);
-                probe_from_merge(
-                    local_intersect(map, state, to_canonical_frame(sleep, perm)),
-                    perm,
-                )
-            }
-            LocalSeenInner::Off => Probe::New,
-        }
-    }
-}
-
-/// Shared exploration counters (atomics so parallel expansions record
-/// without a lock; the totals are set semantics and therefore deterministic
-/// even under races).
-struct Progress {
-    /// Distinct configurations discovered, root included.
-    distinct: AtomicU64,
-    /// Transitions that merged into an already-seen configuration.
-    merged: AtomicU64,
-    /// Reduction accounting (see [`ReductionStats`]).
-    sleep_skipped: AtomicU64,
-    orbit_terminals: AtomicU64,
-    reexpansions: AtomicU64,
-    /// Raised when `max_states` is exceeded; expanders drain quickly.
-    stop: AtomicBool,
-    max_states: u64,
-}
-
-/// What the expander should do with a probed child.
-enum Admit {
-    /// New state under the cap: process it.
-    Expand,
-    /// Merged, terminal-after-cap, or over the cap: drop it.
-    Skip,
-    /// Seen before, but with picks still unexplored: re-expand restricted
-    /// to the woken mask (arrival frame).
-    Reexpand(u64),
-}
-
-impl Progress {
-    fn new(max_states: u64) -> Self {
-        Progress {
-            distinct: AtomicU64::new(1), // the root
-            merged: AtomicU64::new(0),
-            sleep_skipped: AtomicU64::new(0),
-            orbit_terminals: AtomicU64::new(0),
-            reexpansions: AtomicU64::new(0),
-            stop: AtomicBool::new(false),
-            max_states,
-        }
-    }
-
-    fn stopped(&self) -> bool {
-        self.stop.load(Ordering::Relaxed)
-    }
-
-    /// Record one probed transition and decide the child's fate.
-    fn record(&self, probe: Probe) -> Admit {
-        match probe {
-            Probe::New => {
-                let total = self.distinct.fetch_add(1, Ordering::Relaxed) + 1;
-                if total > self.max_states {
-                    self.stop.store(true, Ordering::Relaxed);
-                    Admit::Skip
+            Shard::Set(set) => {
+                if set.insert(key) {
+                    MaskMerge::Inserted
                 } else {
-                    Admit::Expand
+                    MaskMerge::Subset
                 }
             }
-            Probe::Merge => {
-                self.merged.fetch_add(1, Ordering::Relaxed);
-                Admit::Skip
-            }
-            Probe::Wake(woken) => {
-                self.merged.fetch_add(1, Ordering::Relaxed);
-                Admit::Reexpand(woken)
-            }
+            Shard::Map(map) => match map.entry(key) {
+                Entry::Vacant(slot) => {
+                    slot.insert(sleep);
+                    MaskMerge::Inserted
+                }
+                Entry::Occupied(mut slot) => {
+                    let old = *slot.get();
+                    let new = old & sleep;
+                    if new == old {
+                        MaskMerge::Subset
+                    } else {
+                        slot.insert(new);
+                        MaskMerge::Shrunk(old & !sleep)
+                    }
+                }
+            },
         }
     }
 }
@@ -830,209 +714,685 @@ impl<'a, P: Protocol> Pending<'a, P> {
     }
 }
 
-/// A deduplication-surviving child of one expanded configuration.
-enum Child<'a, P: Protocol> {
-    /// Terminal: snapshot report.
-    Leaf(RunReport<P::Output>),
-    /// Non-terminal: awaiting a frontier slot.
-    Interior(Pending<'a, P>),
+/// One transition of a frontier parent: found by the probe phase, judged by
+/// the settle phase.
+struct Move {
+    pick: NodeId,
+    /// Whether the pick's write dies (the fault branch).
+    crash: bool,
+    /// Whether the child has no active node.
+    terminal: bool,
+    /// Sleeping picks the parent passed right before this move (counted on
+    /// ordinary expansions only).
+    skipped: u32,
+    /// The seen-set shard of the child's key.
+    shard: u32,
+    /// The child's sleep mask, in the parent's labeling.
+    sleep: u64,
+    /// The settle phase's verdict: 0 = no child; otherwise the child's
+    /// `restrict` mask (`u64::MAX` for a first visit, which is also how an
+    /// admitted terminal is marked).
+    restrict: u64,
 }
 
-/// One frontier state expanded into its children (only the survivors of
-/// deduplication — merged children are discarded inside [`expand_into`]
-/// without ever being cloned). Used by the parallel explorer; the
-/// sequential explorer feeds children straight into the merge instead.
-struct Expansion<'a, P: Protocol> {
-    /// Terminal children: snapshot reports.
+/// One probed transition as its key's shard sees it.
+struct Arrival<K> {
+    key: K,
+    /// The child's sleep mask in the canonical frame.
+    sleep: u64,
+    /// The automorphism the key was minimized under.
+    perm: Option<u32>,
+}
+
+/// What the probe phase learned about one contiguous chunk of the frontier.
+struct Probed<K> {
+    /// Per parent: the end of its moves in `moves`, and the sleeping picks
+    /// it passes after its last move.
+    parents: Vec<(usize, u32)>,
+    moves: Vec<Move>,
+    /// Per seen-set shard: the keys of this chunk's moves that route there,
+    /// in move order.
+    arrivals: Vec<Vec<Arrival<K>>>,
+    /// With an edge log only: each parent's fingerprint, and each move's
+    /// child's.
+    from: Vec<u128>,
+    to: Vec<u128>,
+}
+
+/// What the materialize phase has built so far, in global order.
+struct Made<'a, P: Protocol> {
+    /// Terminals not yet handed to the caller's check.
     leaves: Vec<RunReport<P::Output>>,
-    /// Non-terminal children awaiting a frontier slot.
-    interior: Vec<Pending<'a, P>>,
+    /// The next frontier.
+    children: Vec<Pending<'a, P>>,
+    orbit_terminals: u64,
 }
 
-/// Report a terminal configuration, expanding its orbit when the symmetry
-/// quotient is armed: the quotient merged every orbit member into the
-/// representative that got probed, but the unreduced walk would have
-/// reported each member as its own terminal — so the siblings are emitted
+/// The certifying walk's record of the transition graph, filled by the
+/// settle phase in global order.
+#[derive(Default)]
+pub(crate) struct EdgeLog {
+    /// Fingerprint of the initial configuration.
+    pub(crate) initial: u128,
+    /// Every transition the walk took.
+    pub(crate) edges: Vec<CertificateEdge>,
+    /// Each judged terminal's fingerprint, in the order the walk judges it.
+    pub(crate) terminals: Vec<u128>,
+}
+
+/// How many workers run a generation's parallel phases.
+trait Width {
+    fn width(&self) -> usize;
+}
+
+/// Run `f` over `items` on the walk's workers, results in item order.
+trait Fan<T, R>: Width {
+    fn fan(&self, items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R>;
+}
+
+/// One worker, inline on the calling thread: no `Send` bound on anything,
+/// so the sequential and certifying walks keep their plain trait bounds.
+struct Inline;
+
+impl Width for Inline {
+    fn width(&self) -> usize {
+        1
+    }
+}
+
+impl<T, R> Fan<T, R> for Inline {
+    fn fan(&self, items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R> {
+        items.into_iter().map(f).collect()
+    }
+}
+
+/// A pool of scoped workers of the given width.
+struct Workers(usize);
+
+impl Width for Workers {
+    fn width(&self) -> usize {
+        self.0.max(1)
+    }
+}
+
+impl<T: Send, R: Send> Fan<T, R> for Workers {
+    fn fan(&self, items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R> {
+        if self.width() == 1 || items.len() <= 1 {
+            return items.into_iter().map(f).collect();
+        }
+        // Each slot is taken by exactly one worker, so its lock is never
+        // contended; it only lets an owned item cross to that worker.
+        let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
+        wb_par::par_stripes_with(self.width(), slots.len(), |i| {
+            let item = slots[i]
+                .lock()
+                .expect("no slot lock is held across a panic")
+                .take();
+            f(item.expect("each item is taken once"))
+        })
+    }
+}
+
+/// Split `items` into `parts` contiguous chunks of near-equal length.
+fn split<T>(mut items: Vec<T>, parts: usize) -> Vec<Vec<T>> {
+    if parts <= 1 {
+        return vec![items];
+    }
+    let len = items.len();
+    let mut chunks: Vec<Vec<T>> = (1..parts)
+        .rev()
+        .map(|i| items.split_off(i * len / parts))
+        .collect();
+    chunks.push(items);
+    chunks.reverse();
+    chunks
+}
+
+/// Take one transition: `pick`'s write, or its crash. On simultaneous models
+/// a write is applied **write-only** unless `deliver` asks for the
+/// observation fan-out: the canonical encoding (statuses, frozen messages,
+/// board) is final right after the write, the activation phase is a no-op,
+/// and observation only mutates private node state — so probes, and
+/// terminals (whose report reads only board and write order), skip the
+/// fan-out. A crash puts nothing on the board, so it has nothing to
+/// deliver; free models observe before the activation phase as usual.
+fn apply<P: Protocol>(engine: &mut Engine<'_, P>, pick: NodeId, crash: bool, deliver: bool) {
+    if crash {
+        engine.step_crash(pick);
+        engine.activation_phase();
+    } else if engine.is_simultaneous() {
+        engine.step_unobserved(pick);
+        if deliver {
+            engine.deliver_last_entry();
+        }
+    } else {
+        engine.step(pick);
+        engine.activation_phase();
+    }
+}
+
+/// Report a terminal configuration into `leaves`, expanding its orbit when
+/// the symmetry quotient is armed: the quotient merged every orbit member
+/// into the representative that got probed, but the unreduced walk would
+/// have reported each member as its own terminal — so the siblings follow
 /// as relabeled reports (deduplicated within the orbit, since stabilizer
 /// elements map the configuration to itself). Equivariance guarantees each
 /// sibling is genuinely reachable, via the relabeled schedule the report
-/// carries.
-fn emit_leaf<'a, P, V>(engine: &Engine<'a, P>, red: &Reduction, progress: &Progress, visit: &mut V)
-where
-    P: Protocol,
-    V: FnMut(Child<'a, P>),
-{
-    visit(Child::Leaf(engine.report()));
-    let Some(sym) = &red.sym else { return };
-    if red.exact {
-        let mut orbit = std::collections::HashSet::new();
-        orbit.insert(engine.canonical_state());
-        for pp in &sym.perms {
-            if orbit.insert(engine.permuted_state(&pp.fwd, &pp.inv)) {
-                progress.orbit_terminals.fetch_add(1, Ordering::Relaxed);
-                visit(Child::Leaf(engine.permuted_report(&pp.fwd)));
+/// carries. Returns the number of siblings.
+fn emit_leaf<P: Protocol>(
+    engine: Engine<'_, P>,
+    red: &Reduction,
+    leaves: &mut Vec<RunReport<P::Output>>,
+) -> u64 {
+    let mut siblings = Vec::new();
+    if let Some(sym) = &red.sym {
+        if red.exact {
+            let mut orbit = HashSet::from([engine.canonical_state()]);
+            for pp in &sym.perms {
+                if orbit.insert(engine.permuted_state(&pp.fwd, &pp.inv)) {
+                    siblings.push(engine.permuted_report(&pp.fwd));
+                }
+            }
+        } else {
+            let mut orbit = HashSet::from([engine.canonical_fingerprint().as_u128()]);
+            for pp in &sym.perms {
+                if orbit.insert(engine.permuted_fingerprint(&pp.fwd, &pp.inv).as_u128()) {
+                    siblings.push(engine.permuted_report(&pp.fwd));
+                }
             }
         }
-    } else {
-        let mut orbit = std::collections::HashSet::new();
-        orbit.insert(engine.canonical_fingerprint().as_u128());
-        for pp in &sym.perms {
-            if orbit.insert(engine.permuted_fingerprint(&pp.fwd, &pp.inv).as_u128()) {
-                progress.orbit_terminals.fetch_add(1, Ordering::Relaxed);
-                visit(Child::Leaf(engine.permuted_report(&pp.fwd)));
+    }
+    leaves.push(engine.finish());
+    let count = siblings.len() as u64;
+    leaves.append(&mut siblings);
+    count
+}
+
+/// The read-only context of a walk's phases.
+struct Step<'r> {
+    red: &'r Reduction,
+    fault_budget: usize,
+    /// Seen-set shards; 0 with dedup off, where every child is new.
+    shards: usize,
+    /// Whether an edge log wants fingerprints.
+    log: bool,
+}
+
+impl Step<'_> {
+    /// The seen-set shard `key` lives in.
+    fn shard_of<K: DedupKey>(&self, key: &K) -> usize {
+        if self.shards > 1 {
+            (key.route() % self.shards as u64) as usize
+        } else {
+            0
+        }
+    }
+
+    /// Phase 1 over one chunk: for every parent, for every awake pick, take
+    /// its transitions in turn — its write, then its crash while the fault
+    /// budget lasts — each under a savepoint: apply, key the child, undo.
+    /// A probe costs `O(changed bytes)`, not `O(engine size)`, and each
+    /// parent's journal is freed once its probes are done.
+    ///
+    /// A sleeping pick skips *both* of its transitions: crash(v) writes
+    /// nothing, so it commutes with at least everything write(v) commutes
+    /// with, and reordering it never changes how much crash budget remains.
+    fn probe<K: DedupKey, P: Protocol>(&self, parents: &mut [Pending<'_, P>]) -> Probed<K> {
+        let mut out = Probed {
+            parents: Vec::with_capacity(parents.len()),
+            moves: Vec::new(),
+            arrivals: (0..self.shards).map(|_| Vec::new()).collect(),
+            from: Vec::new(),
+            to: Vec::new(),
+        };
+        let dpor = self.red.indep.is_some();
+        let indep = self.red.indep.as_deref().unwrap_or(&[]);
+        for Pending {
+            engine,
+            sleep,
+            restrict,
+        } in parents
+        {
+            let (sleep, restrict) = (*sleep, *restrict);
+            if self.log {
+                out.from.push(engine.canonical_fingerprint().as_u128());
+            }
+            let per_pick = 1 + usize::from(engine.crashed_count() < self.fault_budget);
+            // Picks expanded so far, as a mask: a later pick's child may
+            // sleep on them exactly when they are independent of it.
+            let mut explored = 0u64;
+            let mut skipped = 0u32;
+            // Iterate IDs and re-check activity instead of materializing the
+            // active set: each undo restores the statuses this loop started
+            // from.
+            for pick in 1..=engine.node_count() as NodeId {
+                if !engine.is_active(pick) {
+                    continue;
+                }
+                if dpor {
+                    let bit = 1u64 << (pick - 1);
+                    if restrict & bit == 0 {
+                        continue;
+                    }
+                    if sleep & bit != 0 {
+                        if restrict == u64::MAX {
+                            skipped += 1;
+                        }
+                        continue;
+                    }
+                }
+                let child_sleep = if dpor {
+                    (sleep | explored) & indep[pick as usize - 1]
+                } else {
+                    0
+                };
+                for &crash in &[false, true][..per_pick] {
+                    let token = engine.step_token();
+                    apply(engine, pick, crash, false);
+                    let mut shard = 0;
+                    if self.shards > 0 {
+                        let (key, perm) = K::of(self.red, engine);
+                        shard = self.shard_of(&key);
+                        out.arrivals[shard].push(Arrival {
+                            key,
+                            sleep: to_canonical_frame(child_sleep, self.red.perm(perm)),
+                            perm,
+                        });
+                    }
+                    if self.log {
+                        out.to.push(engine.canonical_fingerprint().as_u128());
+                    }
+                    out.moves.push(Move {
+                        pick,
+                        crash,
+                        terminal: !engine.has_active(),
+                        skipped,
+                        shard: shard as u32,
+                        sleep: child_sleep,
+                        restrict: 0,
+                    });
+                    skipped = 0;
+                    engine.undo(token);
+                }
+                if dpor {
+                    explored |= 1u64 << (pick - 1);
+                }
+            }
+            out.parents.push((out.moves.len(), skipped));
+            engine.release_journal();
+        }
+        out
+    }
+
+    /// Phase 2 over one shard: record its arrivals in global order. A key's
+    /// fate depends only on earlier arrivals of the same key, all of which
+    /// are in this shard, so every fate equals the one-worker walk's.
+    fn dedup<K: DedupKey>(
+        &self,
+        shard: &mut Shard<K>,
+        arrivals: Vec<Vec<Arrival<K>>>,
+    ) -> Vec<MaskMerge> {
+        let mut fates = Vec::with_capacity(arrivals.iter().map(Vec::len).sum());
+        for Arrival { key, sleep, perm } in arrivals.into_iter().flatten() {
+            fates.push(match shard.admit(key, sleep) {
+                // Woken picks go back into the arrival's labeling.
+                MaskMerge::Shrunk(woken) => MaskMerge::Shrunk(match self.red.perm(perm) {
+                    Some(pp) => Reduction::map_mask(woken, &pp.inv),
+                    None => woken,
+                }),
+                fate => fate,
+            });
+        }
+        fates
+    }
+
+    /// Phase 4 over one chunk, on the calling thread, consuming its
+    /// parents: rebuild each admitted child by re-applying its transition
+    /// to a clone of the parent, the parent's last admitted child taking
+    /// the parent itself.
+    fn materialize<'a, K, P: Protocol>(
+        &self,
+        parents: Vec<Pending<'a, P>>,
+        probed: Probed<K>,
+        made: &mut Made<'a, P>,
+    ) {
+        let mut start = 0;
+        for (parent, &(end, _)) in parents.into_iter().zip(&probed.parents) {
+            let moves = &probed.moves[start..end];
+            start = end;
+            let Some(last) = moves.iter().rposition(|m| m.restrict != 0) else {
+                continue;
+            };
+            for mv in moves[..last].iter().filter(|m| m.restrict != 0) {
+                self.make(parent.engine.clone(), mv, made);
+            }
+            let mut engine = parent.engine;
+            engine.make_room();
+            self.make(engine, &moves[last], made);
+        }
+    }
+
+    fn make<'a, P: Protocol>(&self, mut engine: Engine<'a, P>, mv: &Move, made: &mut Made<'a, P>) {
+        apply(&mut engine, mv.pick, mv.crash, !mv.terminal);
+        if mv.terminal {
+            made.orbit_terminals += emit_leaf(engine, self.red, &mut made.leaves);
+        } else {
+            made.children.push(Pending {
+                engine,
+                sleep: mv.sleep,
+                restrict: mv.restrict,
+            });
+        }
+    }
+}
+
+/// The walk's counters and caps, which only the settle phase updates.
+struct Tally {
+    distinct: u64,
+    merged: u64,
+    sleep_skipped: u64,
+    reexpansions: u64,
+    /// Set once `max_states` is exceeded: from then on no parent takes a
+    /// transition.
+    stopped: bool,
+    max_states: u64,
+    /// Children admitted to the next frontier in this generation.
+    next: usize,
+    max_frontier: usize,
+    /// Set when `max_frontier` cut this generation: the children past the
+    /// cap are dropped, the parent it happened in is finished, and the
+    /// later parents are left untouched.
+    cut: bool,
+    /// Whether a fault plan is in force (see the hand-off rule in
+    /// [`Tally::settle`]).
+    faulted: bool,
+}
+
+impl Tally {
+    /// Phase 3, on the calling thread: judge every move of a batch in global
+    /// (parent, transition) order, marking admitted children in
+    /// `Move::restrict`. `fates` holds each shard's verdicts in that order.
+    ///
+    /// `sleep_skipped` counts the sleeping picks a parent passes, in order,
+    /// up to the stop check before each transition. When a fault-free
+    /// parent's last transition is a fresh interior child, the count ends
+    /// there (that walk handed its engine to the child); a faulted parent
+    /// also counts the sleeping picks after it. `tests/golden_reports.rs`
+    /// pins both rules.
+    fn settle<K, T>(
+        &mut self,
+        chunks: &mut [(T, Probed<K>)],
+        fates: Vec<Vec<MaskMerge>>,
+        mut log: Option<&mut EdgeLog>,
+    ) {
+        let mut fates: Vec<_> = fates.into_iter().map(Vec::into_iter).collect();
+        for (_, probed) in chunks.iter_mut() {
+            let Probed {
+                parents,
+                moves,
+                from,
+                to,
+                ..
+            } = probed;
+            let mut start = 0;
+            for (p, &(end, tail)) in parents.iter().enumerate() {
+                if self.cut {
+                    return;
+                }
+                let count = end - start;
+                let mut count_tail = true;
+                for (i, mv) in moves[start..end].iter_mut().enumerate() {
+                    self.sleep_skipped += u64::from(mv.skipped);
+                    // The walk's stop check, before each transition.
+                    if self.stopped {
+                        count_tail = false;
+                        break;
+                    }
+                    let fate = match fates.get_mut(mv.shard as usize) {
+                        Some(shard) => shard.next().expect("one fate per arrival"),
+                        None => MaskMerge::Inserted,
+                    };
+                    if let Some(log) = log.as_deref_mut() {
+                        log.edges.push(CertificateEdge {
+                            from: from[p],
+                            writer: mv.pick,
+                            crash: mv.crash,
+                            to: to[start + i],
+                        });
+                    }
+                    let woken = match fate {
+                        MaskMerge::Inserted => {
+                            self.distinct += 1;
+                            if self.distinct > self.max_states {
+                                self.stopped = true;
+                                None
+                            } else if mv.terminal {
+                                mv.restrict = u64::MAX;
+                                if let Some(log) = log.as_deref_mut() {
+                                    log.terminals.push(to[start + i]);
+                                }
+                                None
+                            } else {
+                                Some(u64::MAX)
+                            }
+                        }
+                        MaskMerge::Subset => {
+                            self.merged += 1;
+                            None
+                        }
+                        MaskMerge::Shrunk(woken) => {
+                            self.merged += 1;
+                            (!mv.terminal).then(|| {
+                                self.reexpansions += 1;
+                                woken
+                            })
+                        }
+                    };
+                    if let Some(woken) = woken {
+                        if self.next < self.max_frontier {
+                            self.next += 1;
+                            mv.restrict = woken;
+                        } else {
+                            self.cut = true;
+                        }
+                        if i + 1 == count && woken == u64::MAX && !self.faulted {
+                            count_tail = false;
+                        }
+                    }
+                }
+                if count_tail {
+                    self.sleep_skipped += u64::from(tail);
+                }
+                start = end;
             }
         }
     }
 }
 
-/// Expand one configuration clone-free: for every awake pick, take its
-/// transitions in turn — its write, then its crash while the fault budget
-/// lasts — each under a savepoint: apply, probe the seen-set, settle, undo.
-/// Only children that survive deduplication are cloned, and a first visit
-/// reached by the final transition takes the engine instead (the parent is
-/// spent anyway). Every survivor is handed to `visit`; the engine in the
-/// frontier is always post-activation.
+/// Frontier parents per worker per pass of the generation step. A
+/// generation runs the step on consecutive batches in frontier order, which
+/// keeps the global order of every verdict while bounding the
+/// per-transition records held at once, and lets the parents of one batch
+/// be consumed before the next is probed.
+const BATCH: usize = 1 << 10;
+
+/// The generation step behind every explorer. Each BFS generation walks the
+/// frontier in order, in four phases: probe (parallel over contiguous
+/// chunks of parents), dedup (parallel over seen-set shards), then settle
+/// and materialize (the calling thread, global order). `fan` decides how
+/// many workers run the parallel phases; the report is the same for every
+/// width. `log`, when given, records the transition graph for a
+/// certificate.
 ///
-/// On simultaneous models a write is probed **write-only**: the canonical
-/// encoding (statuses, frozen messages, board) is final right after the
-/// write, the activation phase is a no-op, and observation only mutates
-/// private node state — so merged and terminal children skip the whole
-/// observation fan-out, and only surviving interior children pay for
-/// delivery. A crash puts nothing on the board, so it has nothing to
-/// deliver; free models observe before the activation phase as usual.
-///
-/// A sleeping pick skips *both* of its transitions: crash(v) writes
-/// nothing, so it commutes with at least everything write(v) commutes with,
-/// and reordering it never changes how much crash budget remains.
-fn expand_into<'a, P, S, V>(
-    pending: Pending<'a, P>,
-    fault_budget: usize,
-    seen: &S,
-    progress: &Progress,
-    red: &Reduction,
-    visit: &mut V,
-) where
+/// Materialize stays on the calling thread: it is allocation-bound, a
+/// second worker made it no faster, and children allocated by short-lived
+/// workers spread over per-thread allocator arenas, which raised the
+/// explore benchmark's peak RSS by about a quarter.
+fn walk<'a, P, C, K, F>(
+    protocol: &'a P,
+    g: &Graph,
+    config: &ExploreConfig,
+    check: &C,
+    fan: &F,
+    mut log: Option<&mut EdgeLog>,
+) -> ExplorationReport<P::Output>
+where
     P: Protocol,
-    S: SeenProbe,
-    V: FnMut(Child<'a, P>),
+    P::Output: Clone,
+    C: Fn(&Outcome<P::Output>, &[NodeId]) -> bool,
+    K: DedupKey,
+    F: Fan<Vec<Pending<'a, P>>, (Vec<Pending<'a, P>>, Probed<K>)>
+        + Fan<(Shard<K>, Vec<Vec<Arrival<K>>>), (Shard<K>, Vec<MaskMerge>)>,
 {
-    let Pending {
-        mut engine,
-        sleep,
-        restrict,
-    } = pending;
-    seen.enter(&engine);
-    let dpor = red.indep.is_some();
-    let indep = red.indep.as_deref().unwrap_or(&[]);
-    let simultaneous = engine.is_simultaneous();
-    // Iterate IDs and re-check activity instead of materializing the active
-    // set: the undo after each child restores exactly the statuses this
-    // loop started from, so the walked picks equal `active_set()` — minus
-    // one Vec allocation per expanded state.
-    let n = engine.node_count() as NodeId;
-    let picks = if dpor {
-        (1..=n)
-            .filter(|&p| {
-                let bit = 1u64 << (p - 1);
-                engine.is_active(p) && restrict & bit != 0 && sleep & bit == 0
-            })
-            .count()
-    } else {
-        engine.active_count()
+    let red = Reduction::build(protocol, g, config);
+    let stats = (config.reduction != ReductionPolicy::Off).then(|| ReductionStats {
+        policy: config.reduction,
+        dpor_active: red.indep.is_some(),
+        symmetry_active: red.sym.is_some(),
+        group_order: red.sym.as_ref().map(|s| s.order).unwrap_or(0),
+        sleep_skipped: 0,
+        orbit_terminals: 0,
+        reexpansions: 0,
+    });
+    let mut report = ExplorationReport {
+        distinct_states: 1, // the root
+        terminals: 0,
+        merged: 0,
+        truncated: false,
+        peak_frontier: 0,
+        outcomes: Vec::new(),
+        failures: Vec::new(),
+        reduction: stats,
     };
-    let per_pick = 1 + usize::from(engine.crashed_count() < fault_budget);
-    let total = picks * per_pick;
-    // Picks expanded so far this round, as a mask: a later pick's child may
-    // sleep on them exactly when they are independent of it.
-    let mut explored = 0u64;
-    let mut walked = 0;
-    for pick in 1..=n {
-        if !engine.is_active(pick) {
-            continue;
-        }
-        if dpor {
-            let bit = 1u64 << (pick - 1);
-            if restrict & bit == 0 {
-                continue;
-            }
-            if sleep & bit != 0 {
-                if restrict == u64::MAX {
-                    progress.sleep_skipped.fetch_add(1, Ordering::Relaxed);
-                }
-                continue;
-            }
-        }
-        let child_sleep = if dpor {
-            (sleep | explored) & indep[pick as usize - 1]
-        } else {
-            0
-        };
-        for &crash in &[false, true][..per_pick] {
-            if progress.stopped() {
-                return;
-            }
-            walked += 1;
-            let token = engine.step_token();
-            let write_only = simultaneous && !crash;
-            if crash {
-                engine.step_crash(pick);
-            } else if write_only {
-                engine.step_unobserved(pick);
-            } else {
-                engine.step(pick);
-            }
-            if !write_only {
-                engine.activation_phase();
-            }
-            let woken = match progress.record(seen.probe(&engine, red, child_sleep)) {
-                Admit::Expand if !engine.has_active() => {
-                    // Terminal: the report reads only board + write order,
-                    // so the undelivered observations are irrelevant.
-                    emit_leaf(&engine, red, progress, visit);
-                    None
-                }
-                Admit::Expand => Some(u64::MAX),
-                Admit::Reexpand(woken) if engine.has_active() => {
-                    progress.reexpansions.fetch_add(1, Ordering::Relaxed);
-                    Some(woken)
-                }
-                Admit::Reexpand(_) | Admit::Skip => None,
-            };
-            if let Some(woken) = woken {
-                if write_only {
-                    engine.deliver_last_entry();
-                }
-                let child = |engine| {
-                    Child::Interior(Pending {
-                        engine,
-                        sleep: child_sleep,
-                        restrict: woken,
-                    })
-                };
-                if walked == total && woken == u64::MAX {
-                    // `sleep_skipped` counts the sleeping picks this loop
-                    // passes; a faulted walk also counts those past the
-                    // hand-off: the mask bits above `pick`, since a sleep
-                    // mask only holds active picks. `tests/golden_reports.rs`
-                    // pins both rules.
-                    if fault_budget > 0 && restrict == u64::MAX {
-                        let rest = sleep.checked_shr(pick).unwrap_or(0).count_ones();
-                        progress
-                            .sleep_skipped
-                            .fetch_add(rest.into(), Ordering::Relaxed);
-                    }
-                    engine.commit(token);
-                    visit(child(engine));
-                    return;
-                }
-                visit(child(engine.clone()));
-            }
-            engine.undo(token);
-        }
-        if dpor {
-            explored |= 1u64 << (pick - 1);
-        }
+    if config.max_states == 0 || config.max_frontier == 0 {
+        // A zero cap admits nothing — not even the root. Report an
+        // immediately-truncated empty exploration (`passed()` is false)
+        // instead of panicking or accidentally walking anything.
+        report.distinct_states = 0;
+        report.truncated = true;
+        return report;
     }
+    let check_leaf = |report: &mut ExplorationReport<P::Output>, run: RunReport<P::Output>| {
+        report.terminals += 1;
+        if !check(&run.outcome, &run.crashed) {
+            report.failures.push(ScheduleFailure {
+                schedule: run.write_order,
+                died: run.crashed,
+                outcome: run.outcome.clone(),
+            });
+        }
+        report.outcomes.push(run.outcome);
+    };
+
+    let workers = fan.width();
+    let step = Step {
+        red: &red,
+        fault_budget: config.fault_budget(),
+        shards: match config.dedup {
+            DedupPolicy::Off => 0,
+            _ if workers == 1 => 1,
+            _ => 4 * workers,
+        },
+        log: log.is_some(),
+    };
+    let mut seen: Vec<Shard<K>> = (0..step.shards)
+        .map(|_| Shard::new(red.indep.is_some()))
+        .collect();
+    let mut root = Engine::new(protocol, g);
+    root.activation_phase();
+    if step.shards > 0 {
+        let (key, _) = K::of(&red, &root);
+        seen[step.shard_of(&key)].admit(key, 0);
+    }
+    if let Some(log) = log.as_deref_mut() {
+        log.initial = root.canonical_fingerprint().as_u128();
+    }
+    if !root.has_active() {
+        // The root is its own orbit (an equivariant protocol's initial
+        // configuration is fixed by every pinned automorphism), so no orbit
+        // expansion is needed here.
+        check_leaf(&mut report, root.finish());
+        return report;
+    }
+
+    let mut tally = Tally {
+        distinct: 1,
+        merged: 0,
+        sleep_skipped: 0,
+        reexpansions: 0,
+        stopped: false,
+        max_states: config.max_states,
+        next: 0,
+        max_frontier: config.max_frontier,
+        cut: false,
+        faulted: step.fault_budget > 0,
+    };
+    let mut made = Made {
+        leaves: Vec::new(),
+        children: Vec::new(),
+        orbit_terminals: 0,
+    };
+    let mut frontier = vec![Pending::root(root)];
+    while !frontier.is_empty() && !report.truncated {
+        report.peak_frontier = report.peak_frontier.max(frontier.len());
+        tally.next = 0;
+        let mut parents = VecDeque::from(frontier);
+        while !tally.cut && !parents.is_empty() {
+            let batch: Vec<_> = if parents.len() <= BATCH * workers {
+                std::mem::take(&mut parents).into()
+            } else {
+                parents.drain(..BATCH * workers).collect()
+            };
+            let parts = if workers == 1 {
+                1
+            } else {
+                batch.len().min(4 * workers)
+            };
+            let mut probed = fan.fan(split(batch, parts), |mut parents| {
+                let probed = step.probe::<K, P>(&mut parents);
+                (parents, probed)
+            });
+            let mut fates = Vec::new();
+            if step.shards > 0 {
+                let tasks = seen
+                    .drain(..)
+                    .enumerate()
+                    .map(|(s, shard)| {
+                        let arrivals = probed
+                            .iter_mut()
+                            .map(|(_, p)| std::mem::take(&mut p.arrivals[s]))
+                            .collect();
+                        (shard, arrivals)
+                    })
+                    .collect();
+                (seen, fates) = fan
+                    .fan(tasks, |(mut shard, arrivals)| {
+                        let fates = step.dedup(&mut shard, arrivals);
+                        (shard, fates)
+                    })
+                    .into_iter()
+                    .unzip();
+            }
+            tally.settle(&mut probed, fates, log.as_deref_mut());
+            made.children.reserve(tally.next - made.children.len());
+            for (parents, probed) in probed {
+                step.materialize(parents, probed, &mut made);
+            }
+            for leaf in made.leaves.drain(..) {
+                check_leaf(&mut report, leaf);
+            }
+        }
+        report.truncated = tally.cut || tally.stopped;
+        frontier = std::mem::take(&mut made.children);
+    }
+    report.distinct_states = tally.distinct;
+    report.merged = tally.merged;
+    if let Some(stats) = &mut report.reduction {
+        stats.sleep_skipped = tally.sleep_skipped;
+        stats.orbit_terminals = made.orbit_terminals;
+        stats.reexpansions = tally.reexpansions;
+    }
+    report
 }
 
 /// Walk the schedule space of `protocol` on `g` sequentially, applying
@@ -1073,69 +1433,36 @@ where
     P::Output: Clone,
     C: Fn(&Outcome<P::Output>, &[NodeId]) -> bool,
 {
-    let red = Reduction::build(protocol, g, config);
-    let seen = LocalSeen::new(config.dedup, red.indep.is_some());
-    explore_sequential(protocol, g, config, &check, &seen, &red)
+    match config.dedup {
+        DedupPolicy::Exact => {
+            walk::<_, _, CanonicalState, _>(protocol, g, config, &check, &Inline, None)
+        }
+        _ => walk::<_, _, u128, _>(protocol, g, config, &check, &Inline, None),
+    }
 }
 
-/// The sequential walk behind [`explore_with`], over a caller-chosen
-/// seen-set: the certifying walk passes one that also logs the transition
-/// graph.
-pub(crate) fn explore_sequential<P, C, S>(
+/// The certifying walk: the sequential walk over fingerprint keys, logging
+/// every transition it takes and every terminal it judges into `log`.
+pub(crate) fn explore_logged<P, C>(
     protocol: &P,
     g: &Graph,
     config: &ExploreConfig,
     check: &C,
-    seen: &S,
-    red: &Reduction,
+    log: &mut EdgeLog,
 ) -> ExplorationReport<P::Output>
 where
     P: Protocol,
     P::Output: Clone,
     C: Fn(&Outcome<P::Output>, &[NodeId]) -> bool,
-    S: SeenProbe,
 {
-    let f = config.fault_budget();
-    explore_impl(
-        protocol,
-        g,
-        config,
-        check,
-        seen,
-        red,
-        |frontier, seen, progress, red, report, check_leaf, max_frontier| {
-            // Children merge straight into the report/next frontier — no
-            // intermediate expansion buffers on the sequential path.
-            let mut next: Vec<Pending<P>> = Vec::new();
-            let mut overflow = false;
-            for pending in frontier {
-                let mut visit = |child| match child {
-                    Child::Leaf(run) => check_leaf(report, run),
-                    Child::Interior(p) => {
-                        if next.len() >= max_frontier {
-                            overflow = true;
-                        } else {
-                            next.push(p);
-                        }
-                    }
-                };
-                expand_into(pending, f, seen, progress, red, &mut visit);
-                if overflow {
-                    report.truncated = true;
-                    break;
-                }
-            }
-            next
-        },
-    )
+    let config = config.clone().with_dedup(DedupPolicy::Canonical);
+    walk::<_, _, u128, _>(protocol, g, &config, check, &Inline, Some(log))
 }
 
-/// Like [`explore`], but fanning each frontier generation out across threads
-/// with `wb_par::par_map_vec`, deduplicating through the striped seen-set
-/// without a global lock. State, terminal, and merge counts — and the
-/// multiset of outcomes — are identical to the sequential walk; only the
-/// discovery *order* (hence which witness schedule represents a racing
-/// duplicate) may differ.
+/// Like [`explore`], but each generation's probe and dedup phases run on
+/// `wb_par::num_threads()` scoped workers. The report is identical to the
+/// sequential one: every dedup verdict, counter, cap and witness is settled
+/// in the same global order whatever the width.
 pub fn explore_parallel<P, C>(
     protocol: &P,
     g: &Graph,
@@ -1164,146 +1491,31 @@ where
     P::Output: Clone + Send,
     C: Fn(&Outcome<P::Output>, &[NodeId]) -> bool,
 {
-    let red = Reduction::build(protocol, g, config);
-    let seen = SharedSeen::new(config.dedup, 4 * wb_par::num_threads(), red.indep.is_some());
-    let f = config.fault_budget();
-    explore_impl(
-        protocol,
-        g,
-        config,
-        &check,
-        &seen,
-        &red,
-        |frontier, seen, progress, red, report, check_leaf, max_frontier| {
-            let expansions = wb_par::par_map_vec(frontier, |p| {
-                let mut exp = Expansion {
-                    leaves: Vec::new(),
-                    interior: Vec::new(),
-                };
-                let mut visit = |child| match child {
-                    Child::Leaf(run) => exp.leaves.push(run),
-                    Child::Interior(pending) => exp.interior.push(pending),
-                };
-                expand_into(p, f, seen, progress, red, &mut visit);
-                exp
-            });
-            let mut next: Vec<Pending<P>> = Vec::new();
-            'merge: for exp in expansions {
-                for run in exp.leaves {
-                    check_leaf(report, run);
-                }
-                for pending in exp.interior {
-                    if next.len() >= max_frontier {
-                        report.truncated = true;
-                        break 'merge;
-                    }
-                    next.push(pending);
-                }
-            }
-            next
-        },
-    )
+    explore_on(wb_par::num_threads(), protocol, g, config, &check)
 }
 
-fn explore_impl<'a, P, C, S, F>(
-    protocol: &'a P,
+/// [`explore_parallel_with`] on a pool of `workers` scoped workers; the
+/// report does not depend on the width.
+fn explore_on<P, C>(
+    workers: usize,
+    protocol: &P,
     g: &Graph,
     config: &ExploreConfig,
     check: &C,
-    seen: &S,
-    red: &Reduction,
-    run_generation: F,
 ) -> ExplorationReport<P::Output>
 where
-    P: Protocol,
-    P::Output: Clone,
+    P: Protocol + Sync,
+    P::Node: Send + Sync,
+    P::Output: Clone + Send,
     C: Fn(&Outcome<P::Output>, &[NodeId]) -> bool,
-    S: SeenProbe,
-    F: for<'s> Fn(
-        Vec<Pending<'a, P>>,
-        &'s S,
-        &'s Progress,
-        &'s Reduction,
-        &'s mut ExplorationReport<P::Output>,
-        &'s dyn Fn(&mut ExplorationReport<P::Output>, RunReport<P::Output>),
-        usize,
-    ) -> Vec<Pending<'a, P>>,
 {
-    let stats = (config.reduction != ReductionPolicy::Off).then(|| ReductionStats {
-        policy: config.reduction,
-        dpor_active: red.indep.is_some(),
-        symmetry_active: red.sym.is_some(),
-        group_order: red.sym.as_ref().map(|s| s.order).unwrap_or(0),
-        sleep_skipped: 0,
-        orbit_terminals: 0,
-        reexpansions: 0,
-    });
-    let mut report = ExplorationReport {
-        distinct_states: 1, // the root
-        terminals: 0,
-        merged: 0,
-        truncated: false,
-        peak_frontier: 0,
-        outcomes: Vec::new(),
-        failures: Vec::new(),
-        reduction: stats,
-    };
-    if config.max_states == 0 || config.max_frontier == 0 {
-        // A zero cap admits nothing — not even the root. Report an
-        // immediately-truncated empty exploration (`passed()` is false)
-        // instead of panicking or accidentally walking anything.
-        report.distinct_states = 0;
-        report.truncated = true;
-        return report;
-    }
-    let progress = Progress::new(config.max_states);
-    let check_leaf = |report: &mut ExplorationReport<P::Output>, run: RunReport<P::Output>| {
-        report.terminals += 1;
-        if !check(&run.outcome, &run.crashed) {
-            report.failures.push(ScheduleFailure {
-                schedule: run.write_order,
-                died: run.crashed,
-                outcome: run.outcome.clone(),
-            });
+    let pool = Workers(workers);
+    match config.dedup {
+        DedupPolicy::Exact => {
+            walk::<_, _, CanonicalState, _>(protocol, g, config, check, &pool, None)
         }
-        report.outcomes.push(run.outcome);
-    };
-
-    let mut root = Engine::new(protocol, g);
-    root.activation_phase();
-    seen.probe(&root, red, 0); // pre-counted by Progress::new
-    if !root.has_active() {
-        // The root is its own orbit (an equivariant protocol's initial
-        // configuration is fixed by every pinned automorphism), so no orbit
-        // expansion is needed here.
-        check_leaf(&mut report, root.finish());
-        return report;
+        _ => walk::<_, _, u128, _>(protocol, g, config, check, &pool, None),
     }
-
-    let mut frontier = vec![Pending::root(root)];
-    while !frontier.is_empty() && !report.truncated {
-        report.peak_frontier = report.peak_frontier.max(frontier.len());
-        frontier = run_generation(
-            frontier,
-            seen,
-            &progress,
-            red,
-            &mut report,
-            &check_leaf,
-            config.max_frontier,
-        );
-        if progress.stopped() {
-            report.truncated = true;
-        }
-    }
-    report.distinct_states = progress.distinct.load(Ordering::Relaxed);
-    report.merged = progress.merged.load(Ordering::Relaxed);
-    if let Some(stats) = &mut report.reduction {
-        stats.sleep_skipped = progress.sleep_skipped.load(Ordering::Relaxed);
-        stats.orbit_terminals = progress.orbit_terminals.load(Ordering::Relaxed);
-        stats.reexpansions = progress.reexpansions.load(Ordering::Relaxed);
-    }
-    report
 }
 
 /// Explore with [`explore`] and panic — with the witness write order — if
@@ -1515,8 +1727,8 @@ mod tests {
         report.outcomes.iter().cloned().collect()
     }
 
-    /// Multiset of outcomes, order-insensitively comparable (the parallel
-    /// explorer does not promise discovery order).
+    /// Multiset of outcomes, order-insensitively comparable (a reduced walk
+    /// discovers terminals in a different order than the unreduced one).
     fn outcome_multiset<O: std::fmt::Debug>(report: &ExplorationReport<O>) -> Vec<String> {
         let mut v: Vec<String> = report.outcomes.iter().map(|o| format!("{o:?}")).collect();
         v.sort();
@@ -1708,19 +1920,120 @@ mod tests {
         assert_eq!(explorer_outcome_set(&off), naive, "Off recovers exactness");
     }
 
+    /// Assert two reports describe the same walk: every counter, the
+    /// reduction block, and the outcomes and failures in order.
+    fn assert_same_report<O: PartialEq + std::fmt::Debug>(
+        a: &ExplorationReport<O>,
+        b: &ExplorationReport<O>,
+        label: &str,
+    ) {
+        assert_eq!(a.distinct_states, b.distinct_states, "{label}: states");
+        assert_eq!(a.terminals, b.terminals, "{label}: terminals");
+        assert_eq!(a.merged, b.merged, "{label}: merged");
+        assert_eq!(a.truncated, b.truncated, "{label}: truncated");
+        assert_eq!(a.peak_frontier, b.peak_frontier, "{label}: peak frontier");
+        assert_eq!(a.reduction, b.reduction, "{label}: reduction stats");
+        assert_eq!(a.outcomes, b.outcomes, "{label}: outcomes");
+        fn failures<O>(r: &ExplorationReport<O>) -> Vec<(&[NodeId], &[NodeId], &Outcome<O>)> {
+            r.failures
+                .iter()
+                .map(|f| (&f.schedule[..], &f.died[..], &f.outcome))
+                .collect()
+        }
+        assert_eq!(failures(a), failures(b), "{label}: failures");
+    }
+
+    /// `base` under every input the generation step treats differently:
+    /// each reduction policy, each with no cap, a state cap and a frontier
+    /// cap, under fingerprint and exact dedup.
+    fn step_inputs(base: &ExploreConfig) -> Vec<(String, ExploreConfig)> {
+        let mut inputs = Vec::new();
+        for dedup in [DedupPolicy::Canonical, DedupPolicy::Exact] {
+            for policy in [
+                ReductionPolicy::Off,
+                ReductionPolicy::Dpor,
+                ReductionPolicy::Symmetry,
+                ReductionPolicy::DporSymmetry,
+            ] {
+                let config = base.clone().with_dedup(dedup).with_reduction(policy);
+                for (cap, config) in [
+                    ("uncapped", config.clone()),
+                    ("max_states=20", config.clone().with_max_states(20)),
+                    ("max_frontier=4", config.with_max_frontier(4)),
+                ] {
+                    inputs.push((format!("{dedup:?} {policy} {cap}"), config));
+                }
+            }
+        }
+        inputs
+    }
+
+    /// EchoId with its one embedded ID made relabelable, so the symmetry
+    /// quotient arms on symmetric graphs.
+    struct SymEcho;
+
+    impl Protocol for SymEcho {
+        type Node = <EchoId as Protocol>::Node;
+        type Output = Vec<NodeId>;
+        fn model(&self) -> Model {
+            EchoId.model()
+        }
+        fn budget_bits(&self, n: usize) -> u32 {
+            EchoId.budget_bits(n)
+        }
+        fn spawn(&self, view: &crate::protocol::LocalView) -> Self::Node {
+            EchoId.spawn(view)
+        }
+        fn output(&self, n: usize, board: &crate::board::Whiteboard) -> Vec<NodeId> {
+            EchoId.output(n, board)
+        }
+        fn equivariant(&self) -> bool {
+            true
+        }
+        fn relabel_message(
+            &self,
+            n: usize,
+            msg: &wb_math::BitVec,
+            perm: &[NodeId],
+        ) -> wb_math::BitVec {
+            let bits = wb_math::id_bits(n);
+            let id = wb_math::BitReader::new(msg).read_bits(bits) as usize;
+            let mut w = wb_math::BitWriter::new();
+            w.write_bits(u64::from(perm[id - 1]), bits);
+            w.finish()
+        }
+    }
+
     #[test]
     fn parallel_explorer_matches_sequential() {
-        // Identical counts and outcome multisets; discovery order is not
-        // promised by the parallel walk (racing duplicates may be
-        // attributed to either parent), so compare order-insensitively.
+        // Every report is the sequential one, in order, at every width.
         let g = generators::path(5);
-        let cfg = ExploreConfig::default();
-        let seq = explore(&SeenCount, &g, &cfg, |_| true);
-        let par = explore_parallel(&SeenCount, &g, &cfg, |_| true);
-        assert_eq!(seq.distinct_states, par.distinct_states);
-        assert_eq!(seq.terminals, par.terminals);
-        assert_eq!(seq.merged, par.merged);
-        assert_eq!(outcome_multiset(&seq), outcome_multiset(&par));
+        let check = |o: &Outcome<Vec<(NodeId, u64)>>, _: &[NodeId]| match o {
+            Outcome::Success(rows) => rows[0].0 % 2 == 1,
+            Outcome::Deadlock { .. } => false,
+        };
+        for (label, cfg) in step_inputs(&ExploreConfig::default()) {
+            let seq = explore_with(&SeenCount, &g, &cfg, check);
+            assert!(!seq.failures.is_empty() || seq.truncated, "{label}");
+            for workers in 1..=4 {
+                let par = explore_on(workers, &SeenCount, &g, &cfg, &check);
+                assert_same_report(&seq, &par, &format!("SeenCount {label}, {workers} workers"));
+            }
+        }
+        // A symmetric SIMASYNC instance, where DPOR and the quotient arm.
+        let g = generators::cycle(6);
+        let echo = |o: &Outcome<Vec<NodeId>>, _: &[NodeId]| o.is_success();
+        for (label, cfg) in step_inputs(&ExploreConfig::default()) {
+            let seq = explore_with(&SymEcho, &g, &cfg, echo);
+            if let Some(stats) = seq.reduction {
+                assert!(stats.dpor_active || !cfg.reduction.wants_dpor(), "{label}");
+                assert!(stats.symmetry_active || !cfg.reduction.wants_symmetry());
+            }
+            for workers in 1..=4 {
+                let par = explore_on(workers, &SymEcho, &g, &cfg, &echo);
+                assert_same_report(&seq, &par, &format!("SymEcho {label}, {workers} workers"));
+            }
+        }
     }
 
     #[test]
@@ -2044,12 +2357,8 @@ mod tests {
         let cfg = ExploreConfig::default().with_reduction(ReductionPolicy::Dpor);
         let seq = explore(&EchoId, &g, &cfg, |_| true);
         let par = explore_parallel(&EchoId, &g, &cfg, |_| true);
-        // Merged counts may differ under races (a wake-up seen by one worker
-        // may be a plain merge for another), but the state/terminal/outcome
-        // view is deterministic.
-        assert_eq!(seq.distinct_states, par.distinct_states);
-        assert_eq!(seq.terminals, par.terminals);
-        assert_eq!(outcome_multiset(&seq), outcome_multiset(&par));
+        assert!(seq.reduction.unwrap().dpor_active);
+        assert_same_report(&seq, &par, "dpor");
     }
 
     #[test]
@@ -2107,19 +2416,29 @@ mod tests {
     #[test]
     fn faulted_parallel_walk_matches_sequential() {
         use crate::fault::FaultPlan;
+        let g = generators::cycle(4);
+        type Check = fn(&Outcome<Vec<NodeId>>, &[NodeId]) -> bool;
+        let check: Check = |o, died| match o {
+            Outcome::Success(ids) => ids.len() + died.len() == 4,
+            Outcome::Deadlock { .. } => false,
+        };
+        // A fault-blind check, so failures (with their casualties) compare too.
+        let strict: Check = |o, _| match o {
+            Outcome::Success(ids) => ids.len() == 4,
+            Outcome::Deadlock { .. } => false,
+        };
         for plan in [FaultPlan::crash_stop(1), FaultPlan::lossy(2)] {
-            let g = generators::cycle(4);
-            let config = ExploreConfig::default().with_faults(Some(plan));
-            let check = |o: &Outcome<Vec<NodeId>>, died: &[NodeId]| match o {
-                Outcome::Success(ids) => ids.len() + died.len() == 4,
-                Outcome::Deadlock { .. } => false,
-            };
-            let seq = explore_with(&EchoId, &g, &config, check);
-            let par = explore_parallel_with(&EchoId, &g, &config, check);
-            assert_eq!(seq.distinct_states, par.distinct_states);
-            assert_eq!(seq.terminals, par.terminals);
-            assert_eq!(seq.merged, par.merged);
-            assert_eq!(outcome_multiset(&seq), outcome_multiset(&par));
+            let base = ExploreConfig::default().with_faults(Some(plan));
+            for (label, cfg) in step_inputs(&base) {
+                for (name, check) in [("degraded", check), ("strict", strict)] {
+                    let seq = explore_with(&SymEcho, &g, &cfg, check);
+                    for workers in 1..=4 {
+                        let par = explore_on(workers, &SymEcho, &g, &cfg, &check);
+                        let label = format!("{plan:?} {label} {name}, {workers} workers");
+                        assert_same_report(&seq, &par, &label);
+                    }
+                }
+            }
         }
     }
 

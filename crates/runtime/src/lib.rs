@@ -31,7 +31,7 @@
 //! - [`adapt`] — the Lemma 4 inclusions as executable wrappers: any protocol of
 //!   a weaker model runs unchanged (same outputs) in every stronger model;
 //! - [`certificate`] — machine-checkable exploration certificates: a
-//!   certifying DFS walk that serializes the distinct-configuration DAG,
+//!   certifying walk that serializes the distinct-configuration DAG,
 //!   terminal verdicts, and counterexample witnesses for independent
 //!   re-checking by the tiny `wb-verify` crate (`docs/CERTIFICATES.md`);
 //! - [`bulk`] — the bulk tier: columnar execution of simultaneous protocols

@@ -62,10 +62,10 @@
 //!   `--json`, to stderr, never into the JSON.
 //! - **Witnesses.** A failing `explore` prints how many terminals fail and
 //!   points at `--certify PATH`, whose certificate records replayable
-//!   witness schedules that `verify` re-checks. The report carries no
-//!   schedules: the parallel explorer may attribute a state reached twice
-//!   in one generation to either parent, so its witnesses can differ
-//!   between runs.
+//!   witness schedules that `verify` re-checks. The `wb-serve/explore/v1`
+//!   report carries no schedules. With or without `--par` the explorer
+//!   settles every transition in the same order, so its witnesses would be
+//!   deterministic; adding them is a schema change left open.
 
 use shared_whiteboard::corpus::WitnessFixture;
 use shared_whiteboard::prelude::*;

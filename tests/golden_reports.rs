@@ -188,6 +188,35 @@ fn sleep_skip_counts_are_pinned() {
     }
 }
 
+/// A parallel explore job prints the sequential report, apart from `"par"`,
+/// on every run. Beside the golden cases, two instances where workers race
+/// for the same states: a DPOR walk whose wake-ups depend on arrival order,
+/// and a walk its state cap stops mid-generation.
+#[test]
+fn parallel_reports_equal_sequential_ones() {
+    let mut cases = explore_cases();
+    cases.push(("mis:1", "gnp:4", 12, |s| s.reduction = "dpor".into()));
+    cases.push(("mis:1", "cycle", 10, |s| s.max_states = 300));
+    for (protocol, workload, n, tweak) in cases {
+        let mut spec = JobSpec::new(JobKind::Explore);
+        spec.protocol = protocol.into();
+        spec.workload = workload.into();
+        spec.n = n;
+        tweak(&mut spec);
+        spec.par = false;
+        let sequential = run_job(&spec).unwrap().line();
+        spec.par = true;
+        for run in 1..=3 {
+            let parallel = run_job(&spec).unwrap().line();
+            assert_eq!(
+                parallel.replace("\"par\":true", "\"par\":false"),
+                sequential,
+                "{protocol} {workload} n={n}, parallel run {run}"
+            );
+        }
+    }
+}
+
 /// Rewrite both golden files. Ignored by default; run explicitly only when
 /// the report or certificate schema changes on purpose.
 #[test]
